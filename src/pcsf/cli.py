@@ -2,7 +2,7 @@
 decomposition, bound curves, and gap reports with JSON/CSV outputs.
 
 Exit codes: 0 success, 2 validation error, 3 scale cap exceeded,
-4 infeasible.
+4 infeasible, 5 a rounding result broke its proven bound.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .instance import (FracSolution, InstanceError, make_base, read_frac_solutio
                        write_instance_json)
 from .layered import build_layered, canonical_point, layered_instance
 from .rational import format_rational, parse_rational, rational_json
-from .rounding import (best_threshold_round, gw_steiner_forest, mu_bound,
-                       threshold_round, two_value_round)
+from .rounding import (RoundingBoundError, best_threshold_round, gw_steiner_forest,
+                       mu_bound, threshold_round, two_value_round)
 from .simplex import LpInfeasible
 
 
@@ -231,12 +231,13 @@ def _cmd_decompose(args):
         _emit({"support": len(dist.entries), "alpha": rational_json(parse_rational(args.alpha))})
         return 0
     if args.what == "verify":
+        flag = "alpha" if args.mode == "gap" else "beta"
+        if getattr(args, flag) is None:
+            raise InstanceError(f"decompose verify in {args.mode} mode needs --{flag}")
         lc = _layered_from_args(args)
         dist = dec.read_distribution(args.dist)
-        from .layered import GapParams
-        params = GapParams(alpha=parse_rational(args.alpha) if args.alpha else None,
-                           beta=parse_rational(args.beta) if args.beta else None)
-        report = dec.verify_distribution(lc, dist, params, args.mode)
+        report = dec.verify_distribution(lc, dist, parse_rational(getattr(args, flag)),
+                                         args.mode)
         _emit(report.to_json())
         return 0 if report.passes else 4
     # trace
@@ -444,6 +445,10 @@ def main(argv=None):
         json.dump({"error": str(exc), "type": "infeasible"}, sys.stderr)
         sys.stderr.write("\n")
         return 4
+    except RoundingBoundError as exc:
+        json.dump({"error": str(exc), "type": "guarantee"}, sys.stderr)
+        sys.stderr.write("\n")
+        return 5
     except (InstanceError, GraphError, ValueError, OSError) as exc:
         json.dump({"error": str(exc), "type": "validation"}, sys.stderr)
         sys.stderr.write("\n")

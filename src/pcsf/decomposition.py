@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import simplex
 from .cutlp import check_feasible
 from .exact import DEFAULT_IP_EDGE_CAP, ENUM_EDGE_CAP, enumerate_forests, solve_ip
-from .graph import (Graph, GraphError, UnionFind, component_labels,
-                    enumerate_spanning_trees, is_forest, minimum_spanning_tree)
+from .graph import (Graph, GraphError, UnionFind, component_labels, is_forest,
+                    minimum_spanning_tree, spanning_forest)
 from .instance import FracSolution, InstanceError, PcsfInstance
 from .layered import LayeredConstruction, canonical_point, layered_pairs
 from .rational import INF, format_rational, parse_rational, rational_json
@@ -153,7 +153,7 @@ class DistributionReport:
         }
 
 
-def verify_distribution(subject, dist: ForestDistribution, params, mode: str,
+def verify_distribution(subject, dist: ForestDistribution, scale, mode: str,
                         point: FracSolution = None) -> DistributionReport:
     """Check a distribution against the dominance targets.
 
@@ -171,12 +171,9 @@ def verify_distribution(subject, dist: ForestDistribution, params, mode: str,
         pairs = subject.pairs
         if point is None:
             raise InstanceError("verify_distribution on an instance needs a point")
-    if mode == "gap":
-        scale = Fraction(params.alpha)
-    elif mode == "lmp":
-        scale = Fraction(params.beta)
-    else:
+    if mode not in ("gap", "lmp"):
         raise InstanceError(f"unknown mode {mode!r}")
+    scale = Fraction(scale)
     dist.validate(graph)
 
     marginals = dist.edge_marginals()
@@ -230,8 +227,8 @@ def spanning_tree_decomposition(P: Graph) -> ForestDistribution:
         raise GraphError("spanning_tree_decomposition needs a regular graph")
     target = Fraction(2 * (n - 1), degree * n)
 
-    if P.num_edges <= 20:
-        trees = enumerate_spanning_trees(P)
+    if P.num_edges <= ENUM_EDGE_CAP:
+        trees = [t for t in enumerate_forests(P) if len(t) == n - 1]
         count = {}
         for t in trees:
             for e in t:
@@ -275,7 +272,7 @@ def explicit_gap_distribution(lc: LayeredConstruction, alpha) -> ForestDistribut
         raise InstanceError("alpha must lie in [2, 3]")
     if lc.l != 3:
         raise InstanceError("explicit distribution requires a 3-regular base")
-    trees = enumerate_spanning_trees(lc.base)
+    trees = [t for t in enumerate_forests(lc.base) if len(t) == lc.base.num_nodes - 1]
     entries = []
     tree_weight = (3 - alpha) / len(trees)
     for tree in trees:
@@ -294,38 +291,17 @@ def explicit_gap_distribution(lc: LayeredConstruction, alpha) -> ForestDistribut
 Column = namedtuple("Column", "forest miss")  # global edge ids, missed pair ids
 
 
-def _support_setup(inst: PcsfInstance, x_star):
-    eplus = [e for e in range(inst.graph.num_edges) if x_star.get(e, Fraction(0)) > 0]
-    sub = Graph(inst.graph.num_nodes, [inst.graph.edges[e] for e in eplus])
-    return eplus, sub
-
-
-def _miss_set(graph: Graph, forest, pairs):
-    labels = component_labels(graph, forest)
-    return frozenset(i for i, (s, t) in enumerate(pairs) if labels[s] != labels[t])
-
-
-def _connect_all_column(inst: PcsfInstance, sub: Graph, eplus):
-    uf = UnionFind(sub.num_nodes)
-    chosen = set()
-    for j in range(sub.num_edges):
-        u, v = sub.edges[j]
-        if uf.union(u, v):
-            chosen.add(eplus[j])
-    return Column(frozenset(chosen), _miss_set(inst.graph, chosen, inst.pairs))
+def _column(inst: PcsfInstance, forest) -> Column:
+    labels = component_labels(inst.graph, forest)
+    return Column(frozenset(forest), frozenset(
+        i for i, (s, t) in enumerate(inst.pairs) if labels[s] != labels[t]))
 
 
 def _greedy_price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced):
     """Cheap pricing heuristic: min-weight spanning forest of the support,
     then drop paid edges whenever the separated penalties are cheaper."""
     weights = {j: d.get(eplus[j], Fraction(0)) for j in range(sub.num_edges)}
-    order = sorted(range(sub.num_edges), key=lambda j: (weights[j], j))
-    uf = UnionFind(sub.num_nodes)
-    chosen = set()
-    for j in order:
-        u, v = sub.edges[j]
-        if uf.union(u, v):
-            chosen.add(j)
+    chosen = spanning_forest(sub, sorted(range(sub.num_edges), key=lambda j: (weights[j], j)))
 
     def crossing_pairs(kept, removed):
         labels = component_labels(sub, kept - {removed})
@@ -372,41 +348,98 @@ def _price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced, pool, edge_cap
     return sol.objective, Column(forest, frozenset(sol.disconnected))
 
 
-def _master_min(columns, eplus, x_star, zrows, scale_z):
-    """min scale s.t. the columns' mixture is dominated; returns duals too.
+def _dominance_master(columns, eplus, x, zrows, scaled, scale_z):
+    """Solve the dominance LP over ``columns``: weights lam_q >= 0 with
 
-    scale_z=True: both edge and pair rows carry the scale variable (the
-    alpha LP); scale_z=False: pair rows have fixed right-hand side z*
-    (the beta LP).
+        sum_q lam_q [e in F_q]  <= x_e    (s*x_e when ``scaled``)
+        sum_q lam_q [i missed]  <= z_i    (s*z_i when ``scale_z``)
+
+    for every support edge e and every row (i, z_i) of ``zrows``.  Scaled:
+    min s with sum lam = 1 (the alpha and beta LPs).  Unscaled: max sum lam
+    <= 1 (the feasibility LP), solved as min -sum lam.
+
+    Returns (value, weights, d, rho, level): the optimal dual prices the
+    edges by d and the rows' pairs by rho, and a column improves the LP iff
+    its priced cost falls below ``level``.
     """
-    ncols = len(columns)
-    sv = ncols
-    rows, senses, rhs = [], [], []
-    for e in eplus:
-        row = {q: Fraction(1) for q, col in enumerate(columns) if e in col.forest}
-        row[sv] = -x_star[e]
+    ncols = len(columns)  # the scale s, when present, is variable ncols
+    members = [[q for q, col in enumerate(columns) if e in col.forest] for e in eplus]
+    members += [[q for q, col in enumerate(columns) if i in col.miss] for i, _ in zrows]
+    targets = [(x[e], scaled) for e in eplus] + [(zi, scale_z) for _, zi in zrows]
+    rows, rhs = [], []
+    for qs, (target, on_scale) in zip(members, targets):
+        row = dict.fromkeys(qs, Fraction(1))
+        if on_scale:
+            row[ncols] = -target
         rows.append(row)
-        senses.append("<=")
-        rhs.append(Fraction(0))
-    for i, zi in zrows:
-        row = {q: Fraction(1) for q, col in enumerate(columns) if i in col.miss}
-        if scale_z:
-            row[sv] = -zi
-            rows.append(row)
-            rhs.append(Fraction(0))
-        else:
-            rows.append(row)
-            rhs.append(zi)
-        senses.append("<=")
-    rows.append({q: Fraction(1) for q in range(ncols)})
-    senses.append("=")
+        rhs.append(Fraction(0) if on_scale else target)
+    rows.append(dict.fromkeys(range(ncols), Fraction(1)))
     rhs.append(Fraction(1))
-
-    sol = simplex.solve_min(ncols + 1, {sv: Fraction(1)}, rows, senses, rhs)
+    senses = ["<="] * (len(rows) - 1) + ["=" if scaled else "<="]
+    if scaled:
+        sol = simplex.solve_min(ncols + 1, {ncols: Fraction(1)}, rows, senses, rhs)
+    else:
+        sol = simplex.solve_min(ncols, [Fraction(-1)] * ncols, rows, senses, rhs)
     d = {e: -sol.duals[r] for r, e in enumerate(eplus)}
     rho = {i: -sol.duals[len(eplus) + r] for r, (i, _) in enumerate(zrows)}
-    gamma = sol.duals[-1]
-    return sol, d, rho, gamma
+    # reduced cost of a column: its own cost (0 scaled, -1 unscaled) plus
+    # its priced cost minus the dual of the weight row
+    level = sol.duals[-1] + (0 if scaled else 1)
+    value = sol.objective if scaled else -sol.objective
+    return value, sol.x[:ncols], d, rho, level
+
+
+def _dominate(inst: PcsfInstance, point: FracSolution, x, z, scaled: bool,
+              scale_z: bool, method: str, edge_cap: int):
+    """Dominance LP of ``_dominance_master`` over the forests of supp(x),
+    by column generation with exact pricing (or over every forest, with
+    ``method="enumerate"``).  ``x`` and ``z`` give a target per edge and
+    per pair.  Pairs with z = 0 must be connected by every column; a pair
+    row exists for each z > 0 (only z < 1 when unscaled, where z >= 1
+    cannot bind).  Returns (value, distribution, dual witness).
+    """
+    eplus = [e for e in range(inst.graph.num_edges) if x[e] > 0]
+    sub = Graph(inst.graph.num_nodes, [inst.graph.edges[e] for e in eplus])
+    forced = frozenset(i for i, zi in z.items() if zi == 0)
+    zrows = [(i, zi) for i, zi in sorted(z.items()) if zi > 0 and (scaled or zi < 1)]
+
+    start = _column(inst, spanning_forest(inst.graph, eplus))
+    if start.miss & forced:
+        raise DecompositionError(
+            f"pairs {sorted(start.miss & forced)} cannot be connected within the support of x")
+    if scaled and not scale_z:
+        bad = [i for i, zi in zrows if i in start.miss and zi < 1]
+        if bad:
+            raise DecompositionError(
+                f"z cannot dominate any mixture: pairs {bad} unconnectable but z* < 1")
+
+    if method == "enumerate":
+        forests = enumerate_forests(sub, edge_cap=min(edge_cap, ENUM_EDGE_CAP))
+        columns = [_column(inst, [eplus[j] for j in forest]) for forest in forests]
+        columns = [col for col in columns if not col.miss & forced]
+        value, weights, d, rho, level = _dominance_master(columns, eplus, x, zrows,
+                                                          scaled, scale_z)
+    elif method == "cg":
+        columns = [start]
+        pool = []
+        while True:
+            value, weights, d, rho, level = _dominance_master(columns, eplus, x, zrows,
+                                                              scaled, scale_z)
+            priced, col = _price(inst, sub, eplus, d, rho, forced, pool, edge_cap,
+                                 cutoff=level)
+            if priced >= level:
+                break
+            columns.append(col)
+    else:
+        raise InstanceError(f"unknown method {method!r}")
+
+    dist = ForestDistribution([(col.forest, w) for col, w in zip(columns, weights) if w > 0])
+    support = set(eplus)
+    witness = DualWitness(d=d, rho=rho, gamma_dual=level, value=value, inst=inst, point=point,
+                          zero_edges=frozenset(e for e in range(inst.graph.num_edges)
+                                               if e not in support),
+                          forced_pairs=forced)
+    return value, dist, witness
 
 
 def _decompose_min(inst: PcsfInstance, point: FracSolution, scale_z: bool,
@@ -416,49 +449,8 @@ def _decompose_min(inst: PcsfInstance, point: FracSolution, scale_z: bool,
         raise InstanceError(f"point is infeasible: {violated}")
     x_star = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
     z_star = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
-    eplus, sub = _support_setup(inst, x_star)
-    forced = frozenset(i for i, z in z_star.items() if z == 0)
-    zrows = [(i, z) for i, z in sorted(z_star.items()) if z > 0]
-
-    start = _connect_all_column(inst, sub, eplus)
-    if start.miss & forced:
-        raise DecompositionError(
-            f"pairs {sorted(start.miss & forced)} cannot be connected within the support of x")
-    if not scale_z:
-        bad = [i for i in start.miss if z_star[i] < 1]
-        if bad:
-            raise DecompositionError(
-                f"z cannot dominate any mixture: pairs {bad} unconnectable but z* < 1")
-
-    if method == "enumerate":
-        columns = []
-        for forest in enumerate_forests(sub, edge_cap=min(edge_cap, ENUM_EDGE_CAP)):
-            chosen = frozenset(eplus[j] for j in forest)
-            miss = _miss_set(inst.graph, chosen, inst.pairs)
-            if miss & forced:
-                continue
-            columns.append(Column(chosen, miss))
-        sol, d, rho, gamma = _master_min(columns, eplus, x_star, zrows, scale_z)
-    elif method == "cg":
-        columns = [start]
-        pool = []
-        while True:
-            sol, d, rho, gamma = _master_min(columns, eplus, x_star, zrows, scale_z)
-            priced, col = _price(inst, sub, eplus, d, rho, forced, pool, edge_cap,
-                                 cutoff=gamma)
-            if priced >= gamma:
-                break
-            columns.append(col)
-    else:
-        raise InstanceError(f"unknown method {method!r}")
-
-    dist = ForestDistribution([(col.forest, w) for col, w in zip(columns, sol.x) if w > 0])
-    witness = DualWitness(d=d, rho=rho, gamma_dual=gamma, value=sol.objective,
-                          inst=inst, point=point,
-                          zero_edges=frozenset(e for e in range(inst.graph.num_edges)
-                                               if e not in set(eplus)),
-                          forced_pairs=forced)
-    return sol.objective, dist, witness
+    return _dominate(inst, point, x_star, z_star, scaled=True, scale_z=scale_z,
+                     method=method, edge_cap=edge_cap)
 
 
 def min_alpha(inst: PcsfInstance, point: FracSolution, method: str = "cg",
@@ -487,51 +479,9 @@ def _feasibility(inst: PcsfInstance, x_target, z_target, point,
     """Packing LP: max total weight of a sub-convex mixture dominated by
     (x_target, z_target); value 1 means a full distribution exists and the
     optimal dual is a certificate otherwise."""
-    eplus, sub = _support_setup(inst, x_target)
-    forced = frozenset(i for i in range(inst.num_pairs)
-                       if z_target.get(i, Fraction(0)) == 0)
-    zrows = [(i, z_target[i]) for i in sorted(z_target)
-             if 0 < z_target[i] < 1]
-
-    start = _connect_all_column(inst, sub, eplus)
-    if start.miss & forced:
-        raise DecompositionError(
-            f"pairs {sorted(start.miss & forced)} cannot be connected within the support of x")
-    columns = [start]
-    pool = []
-    while True:
-        ncols = len(columns)
-        rows, senses, rhs = [], [], []
-        for e in eplus:
-            rows.append({q: Fraction(1) for q, col in enumerate(columns) if e in col.forest})
-            senses.append("<=")
-            rhs.append(x_target[e])
-        for i, zi in zrows:
-            rows.append({q: Fraction(1) for q, col in enumerate(columns) if i in col.miss})
-            senses.append("<=")
-            rhs.append(zi)
-        rows.append({q: Fraction(1) for q in range(ncols)})
-        senses.append("<=")
-        rhs.append(Fraction(1))
-        sol = simplex.solve_max(ncols, [Fraction(1)] * ncols, rows, senses, rhs)
-        d = {e: sol.duals[r] for r, e in enumerate(eplus)}
-        rho = {i: sol.duals[len(eplus) + r] for r, (i, _) in enumerate(zrows)}
-        gamma = sol.duals[-1]
-        priced, col = _price(inst, sub, eplus, d, rho, forced, pool, edge_cap,
-                             cutoff=1 - gamma)
-        if priced >= 1 - gamma:
-            break
-        columns.append(col)
-
-    witness = DualWitness(d=d, rho=rho, gamma_dual=gamma, value=sol.objective,
-                          inst=inst, point=point,
-                          zero_edges=frozenset(e for e in range(inst.graph.num_edges)
-                                               if e not in set(eplus)),
-                          forced_pairs=forced)
-    if sol.objective == 1:
-        dist = ForestDistribution([(col.forest, w) for col, w in zip(columns, sol.x) if w > 0])
-        return FeasibilityResult(value=sol.objective, dist=dist, witness=witness)
-    return FeasibilityResult(value=sol.objective, dist=None, witness=witness)
+    value, dist, witness = _dominate(inst, point, x_target, z_target, scaled=False,
+                                     scale_z=False, method="cg", edge_cap=edge_cap)
+    return FeasibilityResult(value=value, dist=dist if value == 1 else None, witness=witness)
 
 
 def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cutlp import LpInfeasibleError, solve_cut_lp
-from .graph import UnionFind, component_labels
+from .graph import component_labels, spanning_forest
 from .instance import InstanceError, PcsfInstance
 from .rounding import IntegralSolution, forest_solution
 
@@ -18,17 +18,6 @@ ENUM_EDGE_CAP = 20
 
 class ScaleCapError(RuntimeError):
     pass
-
-
-def _prune_forest(inst: PcsfInstance, edges) -> set:
-    """Drop cycle edges greedily (never beneficial with nonnegative costs)."""
-    uf = UnionFind(inst.graph.num_nodes)
-    forest = set()
-    for eid in sorted(edges):
-        u, v = inst.graph.edges[eid]
-        if uf.union(u, v):
-            forest.add(eid)
-    return forest
 
 
 def solve_ip(inst: PcsfInstance, edge_cap: int = DEFAULT_IP_EDGE_CAP,
@@ -57,7 +46,7 @@ def solve_ip(inst: PcsfInstance, edge_cap: int = DEFAULT_IP_EDGE_CAP,
 
     def consider(edges):
         nonlocal best, best_key
-        sol = forest_solution(inst, _prune_forest(inst, edges))
+        sol = forest_solution(inst, spanning_forest(inst.graph, sorted(edges)))
         key = (sol.objective, tuple(sorted(sol.forest)))
         if best is None or key < best_key:
             best, best_key = sol, key
@@ -71,12 +60,9 @@ def solve_ip(inst: PcsfInstance, edge_cap: int = DEFAULT_IP_EDGE_CAP,
     # maximal forest of the zero-cost edges (extend it by edges of an optimum:
     # cost cannot grow, connectivity cannot shrink), so pin those edges up
     # front and drop the zero-cost edges that would close cycles with them
-    uf = UnionFind(inst.graph.num_nodes)
-    zero_in, zero_out = set(), set()
-    for eid in range(inst.graph.num_edges):
-        if inst.costs[eid] == 0:
-            u, v = inst.graph.edges[eid]
-            (zero_in if uf.union(u, v) else zero_out).add(eid)
+    zero = [eid for eid in range(inst.graph.num_edges) if inst.costs[eid] == 0]
+    zero_in = spanning_forest(inst.graph, zero)
+    zero_out = set(zero) - zero_in
 
     stack = [(frozenset(zero_in), frozenset(zero_out))]
     while stack:
@@ -123,10 +109,19 @@ def _branch_edge(x, forced_in, forced_out):
 
 
 def enumerate_forests(graph, edge_cap: int = ENUM_EDGE_CAP):
-    """All acyclic edge subsets, by DFS with union-find pruning."""
+    """All acyclic edge subsets, by DFS over the edge ids (each edge is first
+    left out, then taken).  The union-find of the taken edges unites by size
+    and never compresses paths, so a union is undone exactly on backtrack."""
     if graph.num_edges > edge_cap:
         raise ScaleCapError(f"enumerate cap exceeded: {graph.num_edges} > {edge_cap}")
+    parent = list(range(graph.num_nodes))
+    size = [1] * graph.num_nodes
     out = []
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
 
     def extend(next_eid, chosen):
         if next_eid == graph.num_edges:
@@ -134,14 +129,17 @@ def enumerate_forests(graph, edge_cap: int = ENUM_EDGE_CAP):
             return
         extend(next_eid + 1, chosen)
         u, v = graph.edges[next_eid]
-        uf = UnionFind(graph.num_nodes)
-        for e in chosen:
-            a, b = graph.edges[e]
-            uf.union(a, b)
-        if not uf.connected(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
             chosen.append(next_eid)
             extend(next_eid + 1, chosen)
             chosen.pop()
+            size[ru] -= size[rv]
+            parent[rv] = rv
 
     extend(0, [])
     return out

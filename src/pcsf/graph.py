@@ -1,4 +1,4 @@
-"""Exact-arithmetic graph primitives: flows/cuts, connectivity, spanning trees.
+"""Exact-arithmetic graph primitives: flows/cuts, connectivity, spanning forests.
 
 Everything here runs over Fractions (or ints); there is no floating-point
 path.  Edges carry stable integer ids so parallel edges are well-defined;
@@ -39,9 +39,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def endpoints(self, eid: int):
-        return self.edges[eid]
 
     def degree(self, node: int) -> int:
         return len(self.adj[node])
@@ -180,53 +177,24 @@ def component_labels(g: Graph, f) -> list:
     return out
 
 
+def spanning_forest(g: Graph, order) -> set:
+    """Kruskal: scan the edge ids in ``order``, keeping each edge that joins
+    two components of the edges kept so far."""
+    uf = UnionFind(g.num_nodes)
+    forest = set()
+    for eid in order:
+        if uf.union(*g.edges[eid]):
+            forest.add(eid)
+    return forest
+
+
 def minimum_spanning_tree(g: Graph, weights) -> set:
     """Kruskal MST; deterministic tie-break by smallest edge id."""
     order = sorted(range(g.num_edges), key=lambda eid: (Fraction(weights.get(eid, 0)), eid))
-    uf = UnionFind(g.num_nodes)
-    tree = set()
-    for eid in order:
-        u, v = g.edges[eid]
-        if uf.union(u, v):
-            tree.add(eid)
+    tree = spanning_forest(g, order)
     if len(tree) != g.num_nodes - 1:
         raise GraphError("graph is disconnected; no spanning tree")
     return tree
-
-
-def enumerate_spanning_trees(g: Graph, max_edges: int = 20) -> list:
-    """All spanning trees as edge-id sets, each exactly once.
-
-    Desk-scale oracle; refuses graphs with more than ``max_edges`` edges.
-    """
-    if g.num_edges > max_edges:
-        raise GraphError(f"enumerate_spanning_trees bound exceeded: {g.num_edges} > {max_edges}")
-    n = g.num_nodes
-    target = n - 1
-    trees = []
-
-    def extend(next_eid, chosen, uf_edges):
-        if len(chosen) == target:
-            trees.append(frozenset(chosen))
-            return
-        remaining = g.num_edges - next_eid
-        if len(chosen) + remaining < target:
-            return
-        if next_eid >= g.num_edges:
-            return
-        u, v = g.edges[next_eid]
-        uf = UnionFind(n)
-        for e in chosen:
-            a, b = g.edges[e]
-            uf.union(a, b)
-        if not uf.connected(u, v):
-            chosen.append(next_eid)
-            extend(next_eid + 1, chosen, None)
-            chosen.pop()
-        extend(next_eid + 1, chosen, None)
-
-    extend(0, [], None)
-    return [set(t) for t in sorted(trees, key=sorted)]
 
 
 def is_forest(g: Graph, f) -> bool:

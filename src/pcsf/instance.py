@@ -61,16 +61,6 @@ class PcsfInstance:
     def is_infinite(self, i: int) -> bool:
         return isinstance(self.penalties[i], Infinite)
 
-    def finite_pairs(self):
-        return [i for i in range(self.num_pairs) if not self.is_infinite(i)]
-
-    def pair_index(self, u: int, v: int) -> int:
-        key = frozenset((u, v))
-        for i, (s, t) in enumerate(self.pairs):
-            if frozenset((s, t)) == key:
-                return i
-        raise InstanceError(f"no pair {{{u},{v}}}")
-
     def objective(self, x, z) -> Fraction:
         total = sum((self.costs[e] * x.get(e, Fraction(0)) for e in range(self.graph.num_edges)),
                     Fraction(0))

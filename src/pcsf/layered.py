@@ -105,19 +105,6 @@ class LayeredConstruction:
         return [(self.r0, v) for v in self.degree2_nodes()]
 
 
-@dataclass
-class GapParams:
-    alpha: Fraction = None
-    beta: Fraction = None
-    gamma: Fraction = None
-    p: Fraction = None
-    epsilon: Fraction = None
-    l: int = 3
-    n: int = 4
-    m: int = 4
-    k: int = 0
-
-
 def build_layered(base: Graph, m: int, k: int, node_cap: int = DEFAULT_NODE_CAP) -> LayeredConstruction:
     """Construct H^(k) from a validated base graph, with full metadata."""
     if m < 1:

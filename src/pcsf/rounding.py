@@ -11,6 +11,10 @@ from .graph import GraphError, UnionFind, component_labels
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
+class RoundingBoundError(RuntimeError):
+    """A rounding result exceeded its proven ratio bound."""
+
+
 @dataclass
 class IntegralSolution:
     forest: set
@@ -110,7 +114,7 @@ def threshold_round(inst: PcsfInstance, point: FracSolution, theta=Fraction(1, 3
     """Connect the pairs with z below the threshold, pay for the rest.
 
     The returned objective provably stays within max(2/(1-theta), 1/theta)
-    of the point's value; the bound is asserted on every run.
+    of the point's value; the bound is checked on every run.
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -124,8 +128,9 @@ def threshold_round(inst: PcsfInstance, point: FracSolution, theta=Fraction(1, 3
     sol = forest_solution(inst, forest)
     factor = max(Fraction(2) / (1 - theta), Fraction(1) / theta)
     bound = factor * _point_value(inst, point)
-    assert sol.objective is not None and sol.objective <= bound, \
-        f"threshold rounding exceeded its guarantee: {sol.objective} > {bound}"
+    if sol.objective is None or sol.objective > bound:
+        raise RoundingBoundError(
+            f"threshold rounding exceeded its guarantee: {sol.objective} > {bound}")
     return sol
 
 
@@ -166,8 +171,9 @@ def two_value_round(inst: PcsfInstance, point: FracSolution, p) -> IntegralSolut
 
     factor = max((2 - 2 * p * gamma) / (1 - gamma), p / gamma)
     bound = factor * _point_value(inst, point)
-    assert sol.objective <= bound, \
-        f"two-value rounding exceeded its guarantee: {sol.objective} > {bound}"
+    if sol.objective is None or sol.objective > bound:
+        raise RoundingBoundError(
+            f"two-value rounding exceeded its guarantee: {sol.objective} > {bound}")
     return sol
 
 

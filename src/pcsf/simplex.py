@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 FLOAT_TOL = 1e-9
-MAX_PIVOTS = 20000
+MAX_PIVOTS = 20000  # per phase of the float simplex
 
 
 class LpError(RuntimeError):
@@ -80,7 +80,8 @@ def _standardize(num_vars, c, rows, senses, rhs):
 
 
 def _float_simplex(A, cost, b, ncols):
-    """Two-phase float tableau simplex; returns the final basis or None."""
+    """Two-phase float tableau simplex; returns (status, basis), status one
+    of 'optimal', 'infeasible', 'unbounded' or 'pivot_limit'."""
     m = len(A)
     total = ncols + m  # artificial column per row
     T = np.zeros((m, total + 1))
@@ -105,28 +106,27 @@ def _float_simplex(A, cost, b, ncols):
             red[~allowed] = np.inf
             col = int(np.argmin(red))
             if red[col] > -FLOAT_TOL:
-                return True
+                return "optimal"
             ratios = np.full(T.shape[0], np.inf)
             ok = T[:, col] > FLOAT_TOL
             ratios[ok] = T[ok, total] / T[ok, col]
             r = int(np.argmin(ratios))
             if not np.isfinite(ratios[r]):
-                return False  # unbounded
+                return "unbounded"
             pivot(T, r, col)
             basis[r] = col
-        return True
+        return "pivot_limit"
 
     allowed1 = np.ones(total, dtype=bool)
     obj1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    if not run(obj1, allowed1):
-        return None
+    status = run(obj1, allowed1)
+    if status != "optimal":
+        return status, basis
     if sum(T[i, total] for i in range(m) if basis[i] >= ncols) > 1e-7:
-        return basis, True  # looks infeasible; certify exactly
+        return "infeasible", basis
     allowed2 = np.concatenate([np.ones(ncols, dtype=bool), np.zeros(m, dtype=bool)])
     obj2 = np.concatenate([np.array([float(x) for x in cost[:ncols]]), np.zeros(m)])
-    if not run(obj2, allowed2):
-        return None
-    return basis, False
+    return run(obj2, allowed2), basis
 
 
 def _exact_solve_square(M, rhs_cols):
@@ -230,7 +230,7 @@ def _exact_simplex(A, cost, b, ncols):
                 T[i] = [a - f * p for a, p in zip(row, prow)]
 
     def run(obj, limit):
-        for _ in range(MAX_PIVOTS):
+        while True:  # Bland's rule cannot cycle, so this terminates
             y = [obj[basis[i]] for i in range(m)]
             entering = None
             for j in range(limit):
@@ -253,7 +253,6 @@ def _exact_simplex(A, cost, b, ncols):
                 raise LpUnbounded("LP is unbounded")
             pivot(r_best, entering)
             basis[r_best] = entering
-        raise LpError("pivot limit exceeded")
 
     obj1 = [Fraction(0)] * ncols + [Fraction(1)] * m
     run(obj1, total)
@@ -296,12 +295,12 @@ def solve_min(num_vars, c, rows, senses, rhs) -> LpSolution:
         return LpSolution(x=x, objective=Fraction(0), duals=[])
     A, cost, b, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
 
+    # only a float optimum is worth certifying; every other status (and a
+    # failed certificate) is settled by the exact simplex
     result = None
-    fl = _float_simplex(A, cost, b, ncols)
-    if fl is not None:
-        basis, looks_infeasible = fl
-        if not looks_infeasible:
-            result = _certify(A, cost, b, ncols, basis, slack_cols)
+    status, basis = _float_simplex(A, cost, b, ncols)
+    if status == "optimal":
+        result = _certify(A, cost, b, ncols, basis, slack_cols)
     if result is None:
         result = _exact_simplex(A, cost, b, ncols)
     x_full, obj, y = result

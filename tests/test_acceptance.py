@@ -17,7 +17,7 @@ from pcsf.exact import enumerate_ip, gap, solve_ip
 from pcsf.gadget import gadget_tight_family, pcst_gadget_instance
 from pcsf.graph import Graph
 from pcsf.instance import FracSolution, PcsfInstance, make_base
-from pcsf.layered import GapParams, build_layered, canonical_point, layered_instance
+from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
 from pcsf.rounding import gw_steiner_forest, mu_bound, threshold_round, two_value_round
 
@@ -112,7 +112,7 @@ def test_criterion_3():
     lc = build_layered(make_base("k4"), m=4, k=1)
     dist = dec.explicit_gap_distribution(lc, Fraction(9, 4))
     assert len(dist.entries) == 17
-    report = dec.verify_distribution(lc, dist, GapParams(alpha=Fraction(9, 4)), "gap")
+    report = dec.verify_distribution(lc, dist, Fraction(9, 4), "gap")
     assert report.passes
     assert all(v <= Fraction(3, 4) for v in report.marginals.values())
     n_same = len(lc.same_copy_pairs())

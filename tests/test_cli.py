@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from pcsf import rounding
 from pcsf.cli import main
 
 
@@ -136,6 +137,16 @@ def test_decompose_explicit_verify_trace(tmp_path, capsys):
     assert doc["all_ok"] is True and len(doc["steps"]) == 1
 
 
+def test_decompose_verify_needs_its_scale(tmp_path, capsys):
+    dist_path = tmp_path / "dist.txt"
+    assert run(capsys, "decompose", "explicit", "--m", "2", "-o", str(dist_path))[0] == 0
+    for mode in ("gap", "lmp"):
+        code, _, err = run(capsys, "decompose", "verify", "--m", "2", "--mode", mode,
+                           "--dist", str(dist_path))
+        assert code == 2
+        assert json.loads(err)["type"] == "validation"
+
+
 def test_bounds_alpha_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "bounds", "alpha", "--n", "100", "--k", "0:20",
@@ -152,6 +163,17 @@ def test_bounds_beta(capsys):
     code, out, _ = run(capsys, "bounds", "beta", "--l", "4")
     assert code == 0
     assert json.loads(out)["bound"]["exact"] == "3"
+
+
+def test_round_broken_guarantee_exit_code(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "tri.pcsf"
+    inst.write_text("pcsf 1\nedge a b 10\nedge b c 10\nedge a c 1\npair a c 100\n")
+    point = write_point(tmp_path, x=("0", "0", "1"))
+    # the long way round costs 20, over the guarantee 3 * 1
+    monkeypatch.setattr(rounding, "gw_steiner_forest", lambda inst, required: {0, 1})
+    code, _, err = run(capsys, "round", str(inst), "--point", point)
+    assert code == 5
+    assert json.loads(err)["type"] == "guarantee"
 
 
 def test_report_gap(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pcsf.cutlp import solve_lp
 from pcsf.exact import solve_ip
 from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
-from pcsf.layered import GapParams, build_layered, canonical_point
+from pcsf.layered import build_layered, canonical_point
 from pcsf.rational import INF
 
 
@@ -119,7 +119,7 @@ def test_explicit_distribution_k0():
     lc = build_layered(make_base("k4"), m=4, k=0)
     d = dec.explicit_gap_distribution(lc, Fraction(9, 4))
     assert len(d.entries) == 17  # 16 replicated base trees + 1 global tree
-    report = dec.verify_distribution(lc, d, GapParams(alpha=Fraction(9, 4)), "gap")
+    report = dec.verify_distribution(lc, d, Fraction(9, 4), "gap")
     assert report.passes
     assert report.worst_edge_ratio <= 1
 
@@ -128,7 +128,7 @@ def test_explicit_distribution_alpha_range():
     lc = build_layered(make_base("k4"), m=4, k=0)
     for alpha in (Fraction(9, 4), Fraction(5, 2), Fraction(3)):
         d = dec.explicit_gap_distribution(lc, alpha)
-        assert dec.verify_distribution(lc, d, GapParams(alpha=alpha), "gap").passes
+        assert dec.verify_distribution(lc, d, alpha, "gap").passes
     with pytest.raises(InstanceError):
         dec.explicit_gap_distribution(lc, Fraction(7, 2))
 
@@ -138,7 +138,7 @@ def test_explicit_distribution_fails_at_two_at_depth_one():
     # and deep root pairs connect too rarely
     lc = build_layered(make_base("k4"), m=4, k=1)
     d = dec.explicit_gap_distribution(lc, Fraction(2))
-    report = dec.verify_distribution(lc, d, GapParams(alpha=Fraction(2)), "gap")
+    report = dec.verify_distribution(lc, d, Fraction(2), "gap")
     assert not report.passes
     assert report.pair_failures
 
@@ -146,7 +146,7 @@ def test_explicit_distribution_fails_at_two_at_depth_one():
 def test_verify_distribution_lmp_mode():
     lc = build_layered(make_base("k4"), m=4, k=0)
     d = dec.explicit_gap_distribution(lc, Fraction(3))
-    report = dec.verify_distribution(lc, d, GapParams(beta=Fraction(3)), "lmp")
+    report = dec.verify_distribution(lc, d, Fraction(3), "lmp")
     # lmp wants every z<1 pair covered at probability >= 1 - z
     assert report.mode == "lmp" and report.scale == 3
 
@@ -157,7 +157,7 @@ def test_min_alpha_triangle():
     inst = triangle_instance()
     alpha, d, w = dec.min_alpha(inst, triangle_point())
     assert alpha == 1
-    report = dec.verify_distribution(inst, d, GapParams(alpha=alpha), "gap",
+    report = dec.verify_distribution(inst, d, alpha, "gap",
                                      point=triangle_point())
     assert report.passes
     assert w.gamma_dual == alpha
@@ -181,7 +181,7 @@ def test_min_beta_triangle():
     inst = triangle_instance()
     beta, d, _ = dec.min_beta(inst, triangle_point())
     assert beta == 1
-    report = dec.verify_distribution(inst, d, GapParams(beta=beta), "lmp",
+    report = dec.verify_distribution(inst, d, beta, "lmp",
                                      point=triangle_point())
     assert report.passes
 
@@ -196,6 +196,10 @@ def test_feasibility_at_beta_threshold():
     # best sub-mixture: {edge 2} and {edges 0, 1} at 99/200 each
     assert below.value == Fraction(99, 100)
     assert below.dist is None and below.witness is not None
+    # the witness level is the least priced cost of a forest connecting pair 0
+    w = below.witness
+    assert w.gamma_dual == min(sum(w.d[e] for e in forest)
+                               for forest in ({2}, {0, 1}, {0, 2}, {1, 2}))
 
 
 def test_min_alpha_rejects_infeasible_point():

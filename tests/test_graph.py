@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from pcsf.graph import (Graph, GraphError, UnionFind, component_labels, components,
-                        cut_edges, edge_connectivity, enumerate_spanning_trees,
-                        is_forest, min_cut, minimum_spanning_tree)
+                        cut_edges, edge_connectivity, is_forest, min_cut,
+                        minimum_spanning_tree)
 
 
 def triangle():
@@ -76,22 +76,6 @@ def test_mst_disconnected_raises():
     g = Graph(3, [(0, 1)])
     with pytest.raises(GraphError):
         minimum_spanning_tree(g, {0: 1})
-
-
-def test_enumerate_spanning_trees_triangle():
-    trees = enumerate_spanning_trees(triangle())
-    assert sorted(sorted(t) for t in trees) == [[0, 1], [0, 2], [1, 2]]
-
-
-def test_enumerate_spanning_trees_k4_count():
-    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-    assert len(enumerate_spanning_trees(g)) == 16  # Cayley: 4^2
-
-
-def test_enumerate_spanning_trees_cap():
-    g = Graph(22, [(i, i + 1) for i in range(21)])
-    with pytest.raises(GraphError):
-        enumerate_spanning_trees(g)
 
 
 def test_is_forest_and_cut_edges():

@@ -7,9 +7,10 @@ from pcsf.cutlp import solve_lp
 from pcsf.graph import Graph
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance
 from pcsf.rational import INF
-from pcsf.rounding import (best_threshold_round, evaluate, forest_solution,
-                           gw_steiner_forest, mu_bound, threshold_round,
-                           two_value_round)
+from pcsf import rounding
+from pcsf.rounding import (RoundingBoundError, best_threshold_round, evaluate,
+                           forest_solution, gw_steiner_forest, mu_bound,
+                           threshold_round, two_value_round)
 
 
 def triangle_instance(penalty=Fraction(1)):
@@ -126,6 +127,32 @@ def test_two_value_round_validation():
     flat = FracSolution(x={e: Fraction(1) for e in range(3)}, z={0: Fraction(0)})
     with pytest.raises(InstanceError):
         two_value_round(inst, flat, Fraction(3, 4))  # z not two-valued
+
+
+def test_threshold_round_raises_when_over_bound(monkeypatch):
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    inst = PcsfInstance(g, {0: Fraction(10), 1: Fraction(10), 2: Fraction(1)},
+                        [(0, 2)], {0: Fraction(100)})
+    point = FracSolution(x={0: Fraction(0), 1: Fraction(0), 2: Fraction(1)}, z={0: Fraction(0)})
+    # the long way round costs 20, over the guarantee 3 * 1
+    monkeypatch.setattr(rounding, "gw_steiner_forest", lambda inst, required: {0, 1})
+    with pytest.raises(RoundingBoundError):
+        threshold_round(inst, point)
+
+
+def test_two_value_round_raises_when_over_bound(monkeypatch):
+    # the 4-cycle of test_two_value_round plus a costly chord with x = 0
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    costs = {e: Fraction(1) for e in range(4)}
+    costs[4] = Fraction(100)
+    inst = PcsfInstance(g, costs, [(0, 1), (0, 2)], {0: Fraction(3), 1: Fraction(3)})
+    point = FracSolution(x={0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2),
+                            3: Fraction(1, 2), 4: Fraction(0)},
+                         z={0: Fraction(0), 1: Fraction(1, 3)})
+    # both candidates take the chord: objective >= 100 > (9/4) * 3
+    monkeypatch.setattr(rounding, "gw_steiner_forest", lambda inst, required: {4})
+    with pytest.raises(RoundingBoundError):
+        two_value_round(inst, point, Fraction(3, 4))
 
 
 def test_mu_bound_values():

@@ -89,6 +89,18 @@ def test_certified_path_matches_exact_fallback():
         assert fast == slow
 
 
+def test_float_pivot_limit_is_not_optimal(monkeypatch):
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 3}]
+    args = (2, [Fraction(4), Fraction(5)], rows, [">=", ">="], [3, 4])
+    exact = solve_min(*args)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    A, cost, b, _, ncols, _ = simplex._standardize(*args)
+    status, _ = simplex._float_simplex(A, cost, b, ncols)
+    assert status == "pivot_limit"
+    capped = solve_min(*args)
+    assert (capped.objective, capped.x, capped.duals) == (exact.objective, exact.x, exact.duals)
+
+
 def test_duals_certify_objective():
     # strong duality: b.y == c.x on a random-ish feasible min problem
     rows = [{0: 2, 1: 1}, {0: 1, 1: 3}]
