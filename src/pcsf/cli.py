@@ -17,10 +17,10 @@ from fractions import Fraction
 from . import decomposition as dec
 from .cutlp import (CutConstraint, LpInfeasibleError, check_feasible, solve_lp,
                     verify_vertex)
-from .exact import DEFAULT_IP_EDGE_CAP, ScaleCapError, gap, solve_ip
+from .exact import DEFAULT_IP_EDGE_CAP, gap, solve_ip
 from .gadget import gadget_tight_family, pcst_gadget_instance
 from .graph import GraphError
-from .instance import (FracSolution, InstanceError, make_base, read_frac_solution,
+from .instance import (InstanceError, ScaleCapError, make_base, read_frac_solution,
                        read_instance, write_frac_solution, write_instance,
                        write_instance_json)
 from .layered import build_layered, canonical_point, layered_instance
@@ -59,7 +59,7 @@ def _cmd_gen(args):
     if args.what == "layered":
         base = make_base(args.base, path=args.base_file)
         lc = build_layered(base, args.m, args.k)
-        inst = layered_instance(lc, scheme=args.scheme)
+        inst = layered_instance(lc)
         _write_inst(inst, args.output, args.json)
         if args.point:
             mode = args.point_mode
@@ -121,7 +121,7 @@ def read_family(path, inst):
 def _cmd_lp(args):
     if args.what == "solve":
         inst = read_instance(args.instance)
-        res = solve_lp(inst, mode=args.mode)
+        res = solve_lp(inst)
         if args.output:
             write_frac_solution(res.solution, args.output)
         _emit({"value": rational_json(res.value), "iterations": res.iterations,
@@ -130,7 +130,7 @@ def _cmd_lp(args):
     if args.what == "check":
         inst = read_instance(args.instance)
         point = read_frac_solution(args.point)
-        violated = check_feasible(inst, point, mode=args.mode)
+        violated = check_feasible(inst, point)
         doc = {"feasible": violated is None}
         if violated is not None:
             doc["violated"] = {"kind": violated.kind, "pair": violated.pair,
@@ -311,8 +311,6 @@ def _cmd_report(args):
 def build_parser():
     top = argparse.ArgumentParser(prog="pcsf",
                                   description="Prize-collecting Steiner forest LP toolkit")
-    top.add_argument("--seed", type=int, default=0, help="recorded for reproducibility")
-    top.add_argument("--threads", type=int, default=1, help="accepted; results never depend on it")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen").add_subparsers(dest="what", required=True)
@@ -321,7 +319,6 @@ def build_parser():
     g.add_argument("--base-file")
     g.add_argument("--m", type=int, default=4)
     g.add_argument("--k", type=int, default=0)
-    g.add_argument("--scheme", default="unit")
     g.add_argument("--point", help="write the canonical point here")
     g.add_argument("--point-mode", default="gap", choices=["gap", "lmp"])
     g.add_argument("-o", "--output")
@@ -343,13 +340,11 @@ def build_parser():
     lp = sub.add_parser("lp").add_subparsers(dest="what", required=True)
     p = lp.add_parser("solve")
     p.add_argument("instance")
-    p.add_argument("--mode", default="exact", choices=["exact", "tol"])
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_lp)
     p = lp.add_parser("check")
     p.add_argument("instance")
     p.add_argument("--point", required=True)
-    p.add_argument("--mode", default="exact", choices=["exact", "tol"])
     p.set_defaults(func=_cmd_lp)
     p = lp.add_parser("verify-vertex")
     p.add_argument("instance", nargs="?")
@@ -437,7 +432,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScaleCapError, ResourceWarning) as exc:
+    except ScaleCapError as exc:
         json.dump({"error": str(exc), "type": "scale_cap"}, sys.stderr)
         sys.stderr.write("\n")
         return 3

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import simplex
-from .graph import Graph, component_labels, min_cut
+from .graph import component_labels, cut_edges, min_cut
 from .instance import FracSolution, InstanceError, PcsfInstance
-
-DEFAULT_EPS = Fraction(1, 10**9)
 
 
 class LpInfeasibleError(RuntimeError):
@@ -59,40 +57,32 @@ class LpResult:
     iterations: int
 
 
-def _delta_value(g: Graph, x, side) -> Fraction:
-    total = Fraction(0)
-    for eid, (u, v) in enumerate(g.edges):
-        if (u in side) != (v in side):
-            total += x.get(eid, Fraction(0))
-    return total
+def _violated_cuts(inst: PcsfInstance, x, z, pairs):
+    """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
+    in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1."""
+    for i in pairs:
+        s, t = inst.pairs[i]
+        value, side = min_cut(inst.graph, x, s, t)
+        if value + z.get(i, Fraction(0)) < 1:
+            yield i, frozenset(side)
 
 
-def separate(inst: PcsfInstance, point: FracSolution, mode: str = "exact",
-             eps: Fraction = DEFAULT_EPS):
-    """First violated cut in pair-index order, or None if feasible."""
-    slack = Fraction(0) if mode == "exact" else Fraction(eps)
-    for i, (s, t) in enumerate(inst.pairs):
-        zi = point.z.get(i, Fraction(0))
-        value, side = min_cut(inst.graph, point.x, s, t)
-        if value + zi < 1 - slack:
-            return CutConstraint(pair=i, side=frozenset(side))
-    return None
-
-
-def check_feasible(inst: PcsfInstance, point: FracSolution, mode: str = "exact"):
-    """None when feasible, otherwise the violated constraint."""
+def check_feasible(inst: PcsfInstance, point: FracSolution):
+    """None when feasible, otherwise the first violated constraint:
+    nonnegativity first, then cuts in pair-index order."""
     for eid in range(inst.graph.num_edges):
         if point.x.get(eid, Fraction(0)) < 0:
             return CutConstraint(pair=None, side=None, kind="nonneg_x", edge=eid)
     for i in range(inst.num_pairs):
         if point.z.get(i, Fraction(0)) < 0:
             return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    return separate(inst, point, mode=mode)
+    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
+        return CutConstraint(pair=i, side=side)
+    return None
 
 
-def solve_cut_lp(inst: PcsfInstance, mode: str = "exact", pool=None,
-                 forced_in=frozenset(), forced_out=frozenset(),
-                 eps: Fraction = DEFAULT_EPS):
+def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
+                 forced_out=frozenset()):
     """Cutting-plane engine; also used with edge restrictions by branch
     and bound.  Forced-in edges count as permanently bought (capacity 1,
     cost already paid by the caller), forced-out edges as deleted.
@@ -102,14 +92,13 @@ def solve_cut_lp(inst: PcsfInstance, mode: str = "exact", pool=None,
     g = inst.graph
     forced_in = frozenset(forced_in)
     forced_out = frozenset(forced_out)
-    slack = Fraction(0) if mode == "exact" else Fraction(eps)
 
     labels = component_labels(g, forced_in)
     free_edges = [e for e in range(g.num_edges)
                   if e not in forced_in and e not in forced_out]
     auto = [labels[s] == labels[t] for (s, t) in inst.pairs]
-    z_pairs = [i for i in range(inst.num_pairs)
-               if not auto[i] and not inst.is_infinite(i)]
+    open_pairs = [i for i in range(inst.num_pairs) if not auto[i]]
+    z_pairs = [i for i in open_pairs if not inst.is_infinite(i)]
 
     # an infinite-penalty pair that cannot be connected at all is a hard failure
     reach = component_labels(g, set(free_edges) | forced_in)
@@ -122,49 +111,34 @@ def solve_cut_lp(inst: PcsfInstance, mode: str = "exact", pool=None,
     num_vars = len(free_edges) + len(z_pairs)
     cost = [inst.costs[e] for e in free_edges] + [inst.penalties[i] for i in z_pairs]
 
-    cuts = []
-    seen = set()
+    # working set, in insertion order: (pair, side) -> crossing edge ids
+    cuts = {}
 
-    def add_cut(i, side):
-        key = (i, side)
-        if key in seen:
-            return False
-        seen.add(key)
-        cuts.append((i, side))
-        return True
+    def add_cut(key):
+        if key not in cuts:
+            cuts[key] = sorted(cut_edges(g, key[1]))
 
-    if pool:
-        for (i, side) in pool:
-            add_cut(i, side)
-
-    def row_of(i, side):
-        row = {}
-        rhs = Fraction(1)
-        for eid, (u, v) in enumerate(g.edges):
-            if (u in side) != (v in side):
-                if eid in forced_in:
-                    rhs -= 1
-                elif eid in xcol:
-                    row[xcol[eid]] = row.get(xcol[eid], Fraction(0)) + 1
-        if i in zcol:
-            row[zcol[i]] = Fraction(1)
-        return row, rhs
+    for key in pool or ():
+        add_cut(key)
 
     iterations = 0
     while True:
-        rows, senses, rhs = [], [], []
+        rows, rhs = [], []
         live = []
-        for (i, side) in cuts:
+        for key, crossing in cuts.items():
+            i = key[0]
             if auto[i]:
                 continue
-            row, b = row_of(i, side)
+            b = 1 - sum(1 for e in crossing if e in forced_in)
             if b <= 0:
                 continue
+            row = {xcol[e]: Fraction(1) for e in crossing if e in xcol}
+            if i in zcol:
+                row[zcol[i]] = Fraction(1)
             rows.append(row)
-            senses.append(">=")
-            rhs.append(b)
-            live.append((i, side))
-        sol = simplex.solve_min(num_vars, cost, rows, senses, rhs)
+            rhs.append(Fraction(b))
+            live.append(key)
+        sol = simplex.solve_min(num_vars, cost, rows, [">="] * len(rows), rhs)
         iterations += 1
         x = {e: Fraction(0) for e in range(g.num_edges)}
         for e in forced_in:
@@ -175,38 +149,29 @@ def solve_cut_lp(inst: PcsfInstance, mode: str = "exact", pool=None,
         for i, j in zcol.items():
             z[i] = sol.x[j]
 
-        violated = []
-        for i, (s, t) in enumerate(inst.pairs):
-            if auto[i]:
-                continue
-            value, side = min_cut(g, x, s, t)
-            if value + z[i] < 1 - slack:
-                violated.append((i, frozenset(side)))
-        if violated:
-            # drop cuts strictly slack at the optimum: the optimal duals live
-            # on tight rows, so the relaxed LP keeps the same value and the
-            # cutting-plane objective stays monotone; dropped cuts may return
-            # through separation later
-            kept = [(i, side) for (i, side) in live
-                    if _delta_value(g, x, side) + z[i] == 1]
-            cuts = kept
-            seen = set(kept)
+        # cuts of the live rows that are tight at this optimum
+        tight = [key for key in live
+                 if sum(x[e] for e in cuts[key]) + z[key[0]] == 1]
+        violated = list(_violated_cuts(inst, x, z, open_pairs))
         if not violated:
-            point = FracSolution(x=x, z=z)
-            tight = [CutConstraint(pair=i, side=side) for (i, side) in live
-                     if _delta_value(g, x, side) + z[i] == 1]
             if pool is not None:
-                pool.clear()
-                pool.extend((c.pair, c.side) for c in tight)
-            return LpResult(solution=point, value=sol.objective,
-                            active_cuts=tight, iterations=iterations)
-        for (i, side) in violated:
-            add_cut(i, side)
+                pool[:] = tight
+            return LpResult(solution=FracSolution(x=x, z=z), value=sol.objective,
+                            active_cuts=[CutConstraint(pair=i, side=side)
+                                         for (i, side) in tight],
+                            iterations=iterations)
+        # drop cuts strictly slack at the optimum: the optimal duals live
+        # on tight rows, so the relaxed LP keeps the same value and the
+        # cutting-plane objective stays monotone; dropped cuts may return
+        # through separation later
+        cuts = {key: cuts[key] for key in tight}
+        for key in violated:
+            add_cut(key)
 
 
-def solve_lp(inst: PcsfInstance, mode: str = "exact") -> LpResult:
+def solve_lp(inst: PcsfInstance) -> LpResult:
     """Optimal value of the cut LP over the full exponential cut family."""
-    return solve_cut_lp(inst, mode=mode)
+    return solve_cut_lp(inst)
 
 
 def matrix_rank_exact(rows, ncols: int) -> int:
@@ -273,12 +238,10 @@ def verify_vertex(inst: PcsfInstance, point: FracSolution, family) -> VertexRepo
     rows = []
     for c in family:
         if c.kind == "cut":
-            value = _delta_value(inst.graph, point.x, c.side) + point.z.get(c.pair, Fraction(0))
+            crossing = sorted(cut_edges(inst.graph, c.side))
+            value = sum(point.x.get(e, Fraction(0)) for e in crossing) + point.z.get(c.pair, Fraction(0))
             tight = value == 1
-            row = {}
-            for eid, (u, v) in enumerate(inst.graph.edges):
-                if (u in c.side) != (v in c.side):
-                    row[eid] = Fraction(1)
+            row = dict.fromkeys(crossing, Fraction(1))
             row[m + c.pair] = Fraction(1)
         elif c.kind == "nonneg_x":
             tight = point.x.get(c.edge, Fraction(0)) == 0

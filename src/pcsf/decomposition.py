@@ -15,9 +15,9 @@ from fractions import Fraction
 from . import simplex
 from .cutlp import check_feasible
 from .exact import DEFAULT_IP_EDGE_CAP, ENUM_EDGE_CAP, enumerate_forests, solve_ip
-from .graph import (Graph, GraphError, UnionFind, component_labels, is_forest,
-                    minimum_spanning_tree, spanning_forest)
-from .instance import FracSolution, InstanceError, PcsfInstance
+from .graph import (Graph, GraphError, component_labels, is_forest, minimum_spanning_tree,
+                    spanning_forest)
+from .instance import FracSolution, InstanceError, PcsfInstance, regular_degree
 from .layered import LayeredConstruction, canonical_point, layered_pairs
 from .rational import INF, format_rational, parse_rational, rational_json
 
@@ -222,10 +222,7 @@ def spanning_tree_decomposition(P: Graph) -> ForestDistribution:
     column generation with minimum-spanning-tree pricing.
     """
     n = P.num_nodes
-    degree = P.degree(0)
-    if any(P.degree(v) != degree for v in range(n)):
-        raise GraphError("spanning_tree_decomposition needs a regular graph")
-    target = Fraction(2 * (n - 1), degree * n)
+    target = Fraction(2 * (n - 1), regular_degree(P) * n)
 
     if P.num_edges <= ENUM_EDGE_CAP:
         trees = [t for t in enumerate_forests(P) if len(t) == n - 1]
@@ -233,8 +230,9 @@ def spanning_tree_decomposition(P: Graph) -> ForestDistribution:
         for t in trees:
             for e in t:
                 count[e] = count.get(e, 0) + 1
-        if all(Fraction(count.get(e, 0), len(trees)) <= target
-               for e in range(P.num_edges)):
+        # with no tree at all, column generation's first spanning tree raises
+        if trees and all(Fraction(count.get(e, 0), len(trees)) <= target
+                         for e in range(P.num_edges)):
             w = Fraction(1, len(trees))
             return ForestDistribution([(frozenset(t), w) for t in trees])
 
@@ -519,9 +517,8 @@ def witness_costs_from_dual(w: DualWitness, mode: str = "gap", beta=None) -> Pcs
                 for i in range(w.inst.num_pairs)}
     else:
         raise InstanceError(f"unknown mode {mode!r}")
-    meta = {"witness_mode": mode, "gamma": format_rational(w.gamma_dual)}
     return PcsfInstance(w.inst.graph, costs, w.inst.pairs, pens,
-                        node_names=w.inst.node_names, meta=meta)
+                        node_names=w.inst.node_names)
 
 
 # --- support trimming and the witness-node / chain machinery ------------
@@ -537,13 +534,10 @@ def trim_support(lc: LayeredConstruction, dist: ForestDistribution) -> ForestDis
             restricted = kept & copy_edges[copy.id]
             if not restricted:
                 continue
-            uf = UnionFind(lc.graph.num_nodes)
+            labels = component_labels(lc.graph, restricted)
+            good = {labels[b] for b in copy.branch_nodes}
             for e in restricted:
-                u, v = lc.graph.edges[e]
-                uf.union(u, v)
-            good = {uf.find(b) for b in copy.branch_nodes}
-            for e in restricted:
-                if uf.find(lc.graph.edges[e][0]) not in good:
+                if labels[lc.graph.edges[e][0]] not in good:
                     kept.discard(e)
         entries.append((frozenset(kept), weight))
     return ForestDistribution(entries)
@@ -566,12 +560,8 @@ def find_witness_node(lc: LayeredConstruction, dist: ForestDistribution, copy,
         raise DecompositionError("conditioning event has probability 0")
 
     for forest, _ in cond:
-        restricted = forest & copy_edges
-        uf = UnionFind(lc.graph.num_nodes)
-        for e in restricted:
-            u, v = lc.graph.edges[e]
-            uf.union(u, v)
-        if len({uf.find(b) for b in copy.branch_nodes}) != 1:
+        labels = component_labels(lc.graph, forest & copy_edges)
+        if len({labels[b] for b in copy.branch_nodes}) != 1:
             raise DecompositionError(
                 f"a support forest does not induce a tree on copy {copy.id}; "
                 "trim the support first")

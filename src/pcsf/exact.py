@@ -9,15 +9,11 @@ from fractions import Fraction
 
 from .cutlp import LpInfeasibleError, solve_cut_lp
 from .graph import component_labels, spanning_forest
-from .instance import InstanceError, PcsfInstance
+from .instance import InstanceError, PcsfInstance, ScaleCapError
 from .rounding import IntegralSolution, forest_solution
 
 DEFAULT_IP_EDGE_CAP = 40
 ENUM_EDGE_CAP = 20
-
-
-class ScaleCapError(RuntimeError):
-    pass
 
 
 def solve_ip(inst: PcsfInstance, edge_cap: int = DEFAULT_IP_EDGE_CAP,

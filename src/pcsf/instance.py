@@ -14,6 +14,10 @@ class InstanceError(ValueError):
     pass
 
 
+class ScaleCapError(RuntimeError):
+    """An input is past a size cap of an exact routine."""
+
+
 class PcsfInstance:
     """Graph + rational edge costs + terminal pairs + penalties.
 

@@ -14,22 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph
-from .instance import InstanceError, PcsfInstance, FracSolution, regular_degree
+from .instance import InstanceError, PcsfInstance, FracSolution, ScaleCapError, regular_degree
 from .rational import INF
 
-BRANCH = "branch"
-SUBDIVISION = "subdivision"
-
-DEFAULT_NODE_CAP = 500_000
+NODE_CAP = 500_000
 
 
 @dataclass
 class PathGroup:
     """Subdivided image of one base-graph edge inside one copy."""
 
-    copy_id: int
     base_edge: int
-    endpoints: tuple        # global ids of the two branch nodes
     nodes: list             # the m internal (subdivision) nodes, in path order
     edges: list             # the m+1 edge ids along the path
 
@@ -39,7 +34,6 @@ class Copy:
     id: int
     level: int
     root: int               # global node id the copy is rooted at
-    parent_copy: int | None
     branch_nodes: list      # global ids of the n branch-node images; [0] is the root
     groups: list = field(default_factory=list)   # PathGroup per base edge
 
@@ -68,11 +62,6 @@ class LayeredConstruction:
     graph: Graph = None
     r0: int = 0
     copies: list = field(default_factory=list)
-    node_copy: list = field(default_factory=list)
-    node_role: list = field(default_factory=list)
-    node_level: list = field(default_factory=list)
-    edge_copy: list = field(default_factory=list)
-    edge_group: list = field(default_factory=list)
 
     def degree2_nodes(self):
         """Degree-2 nodes of the final graph: level-k subdivision nodes."""
@@ -105,8 +94,8 @@ class LayeredConstruction:
         return [(self.r0, v) for v in self.degree2_nodes()]
 
 
-def build_layered(base: Graph, m: int, k: int, node_cap: int = DEFAULT_NODE_CAP) -> LayeredConstruction:
-    """Construct H^(k) from a validated base graph, with full metadata."""
+def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
+    """Construct H^(k) from a validated base graph, with its copies."""
     if m < 1:
         raise InstanceError("subdivision count m must be >= 1")
     if k < 0:
@@ -121,54 +110,41 @@ def build_layered(base: Graph, m: int, k: int, node_cap: int = DEFAULT_NODE_CAP)
     for _ in range(k):
         total += frontier * (nodes_h - 1)
         frontier = frontier * (m * base.num_edges)
-    if total > node_cap:
-        raise ResourceWarning(f"layered construction needs {total} nodes, cap {node_cap}")
+    if total > NODE_CAP:
+        raise ScaleCapError(f"layered construction needs {total} nodes, cap {NODE_CAP}")
 
     lc = LayeredConstruction(base=base, n=n, l=l, m=m, k=k)
     g = Graph(0, [])
     g.num_nodes = 0
 
-    def new_node(copy_id, role, level):
-        idx = g.num_nodes
+    def new_node():
         g.num_nodes += 1
         g.adj.append([])
-        lc.node_copy.append(copy_id)
-        lc.node_role.append(role)
-        lc.node_level.append(level)
-        return idx
+        return g.num_nodes - 1
 
-    def attach_copy(root_global, level, parent_copy):
+    def attach_copy(root_global, level):
         """One subdivided copy of P; base node 0 maps to ``root_global``."""
-        cid = len(lc.copies)
         if root_global is None:
-            branch = [new_node(cid, BRANCH, level) for _ in range(n)]
+            branch = [new_node() for _ in range(n)]
         else:
-            branch = [root_global] + [new_node(cid, BRANCH, level) for _ in range(n - 1)]
-        copy = Copy(id=cid, level=level, root=branch[0], parent_copy=parent_copy,
-                    branch_nodes=branch)
+            branch = [root_global] + [new_node() for _ in range(n - 1)]
+        copy = Copy(id=len(lc.copies), level=level, root=branch[0], branch_nodes=branch)
         lc.copies.append(copy)
         for be, (a, b) in enumerate(base.edges):
-            internal = [new_node(cid, SUBDIVISION, level) for _ in range(m)]
+            internal = [new_node() for _ in range(m)]
             chain = [branch[a]] + internal + [branch[b]]
-            edge_ids = []
-            for u, v in zip(chain, chain[1:]):
-                eid = g.add_edge(u, v)
-                lc.edge_copy.append(cid)
-                lc.edge_group.append((cid, be))
-                edge_ids.append(eid)
-            copy.groups.append(PathGroup(copy_id=cid, base_edge=be,
-                                         endpoints=(branch[a], branch[b]),
-                                         nodes=internal, edges=edge_ids))
+            edge_ids = [g.add_edge(u, v) for u, v in zip(chain, chain[1:])]
+            copy.groups.append(PathGroup(base_edge=be, nodes=internal, edges=edge_ids))
         return copy
 
-    root_copy = attach_copy(None, 0, None)
+    root_copy = attach_copy(None, 0)
     lc.r0 = root_copy.root
     frontier_copies = [root_copy]
     for level in range(1, k + 1):
         next_frontier = []
         for copy in frontier_copies:
             for v in copy.subdivision_nodes:
-                next_frontier.append(attach_copy(v, level, copy.id))
+                next_frontier.append(attach_copy(v, level))
         frontier_copies = next_frontier
 
     lc.graph = g
@@ -180,28 +156,14 @@ def layered_pairs(lc: LayeredConstruction):
     return lc.same_copy_pairs() + lc.root_pairs()
 
 
-def layered_instance(lc: LayeredConstruction, scheme="unit", costs=None, penalties=None) -> PcsfInstance:
-    """PCSF instance on H^(k).
-
-    Scheme ``unit``: cost 1 on every edge, infinite penalties on same-copy
-    pairs, penalty 1 on (r0, degree-2) pairs.  Scheme ``witness`` takes
-    explicit (costs, penalties) maps, e.g. from a dominance-LP dual.
-    """
+def layered_instance(lc: LayeredConstruction) -> PcsfInstance:
+    """Unit PCSF instance on H^(k): cost 1 on every edge, infinite penalties
+    on same-copy pairs, penalty 1 on (r0, degree-2) pairs."""
     pairs = layered_pairs(lc)
     n_same = len(lc.same_copy_pairs())
-    if scheme == "unit":
-        cost_map = {eid: Fraction(1) for eid in range(lc.graph.num_edges)}
-        pen = {i: (INF if i < n_same else Fraction(1)) for i in range(len(pairs))}
-    elif scheme == "witness":
-        if costs is None or penalties is None:
-            raise InstanceError("witness scheme requires explicit costs and penalties")
-        cost_map = dict(costs)
-        pen = dict(penalties)
-    else:
-        raise InstanceError(f"unknown cost scheme {scheme!r}")
-    meta = {"construction": "layered", "n": lc.n, "l": lc.l, "m": lc.m, "k": lc.k,
-            "scheme": scheme, "r0": lc.r0, "same_copy_pairs": n_same}
-    return PcsfInstance(lc.graph, cost_map, pairs, pen, meta=meta)
+    cost_map = {eid: Fraction(1) for eid in range(lc.graph.num_edges)}
+    pen = {i: (INF if i < n_same else Fraction(1)) for i in range(len(pairs))}
+    return PcsfInstance(lc.graph, cost_map, pairs, pen)
 
 
 def canonical_point(lc: LayeredConstruction, mode: str) -> FracSolution:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from pcsf import rounding
 from pcsf.cli import main
 
@@ -201,5 +203,22 @@ def test_exit_codes(tmp_path, capsys):
     lines = ["pcsf 1"] + [f"edge v{i} v{i+1} 1" for i in range(45)] + ["pair v0 v45 1"]
     big.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "ip", "solve", str(big))
+    assert code == 3
+    assert json.loads(err)["type"] == "scale_cap"
+
+
+def test_removed_options_are_unknown(tmp_path, capsys):
+    inst = write_triangle(tmp_path)
+    for argv in (["lp", "solve", inst, "--mode", "tol"],
+                 ["--seed", "1", "lp", "solve", inst],
+                 ["gen", "layered", "--scheme", "unit"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_gen_layered_past_node_cap(capsys):
+    code, _, err = run(capsys, "gen", "layered", "--m", "5", "--k", "3")
     assert code == 3
     assert json.loads(err)["type"] == "scale_cap"

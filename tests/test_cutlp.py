@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, check_feasible,
-                        matrix_rank_exact, separate, solve_cut_lp, solve_lp)
+                        matrix_rank_exact, solve_cut_lp, solve_lp)
 from pcsf.graph import Graph
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance
 from pcsf.rational import INF
@@ -25,8 +25,8 @@ def test_separate_finds_violation():
     inst = triangle_instance()
     point = FracSolution(x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0)},
                          z={0: Fraction(1, 2)})
-    cut = separate(inst, point)
-    assert cut is not None and cut.pair == 0
+    cut = check_feasible(inst, point)
+    assert cut is not None and cut.kind == "cut" and cut.pair == 0
     s, t = inst.pairs[0]
     assert (s in cut.side) != (t in cut.side)
 

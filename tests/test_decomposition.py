@@ -113,6 +113,12 @@ def test_tree_decomposition_needs_regular_graph():
         dec.spanning_tree_decomposition(Graph(3, [(0, 1), (1, 2)]))
 
 
+def test_tree_decomposition_of_disconnected_regular_graph():
+    from pcsf.graph import GraphError
+    with pytest.raises(GraphError, match="disconnected"):
+        dec.spanning_tree_decomposition(Graph(4, [(0, 1), (2, 3)]))
+
+
 # --- explicit distribution and verification -------------------------------
 
 def test_explicit_distribution_k0():

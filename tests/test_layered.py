@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pcsf.instance import InstanceError, make_base
-from pcsf.layered import (SUBDIVISION, build_layered, canonical_point,
-                          layered_instance, layered_pairs)
+from pcsf.instance import InstanceError, ScaleCapError, make_base
+from pcsf.layered import build_layered, canonical_point, layered_instance, layered_pairs
 
 
 def test_k0_shape():
@@ -28,7 +27,9 @@ def test_degree2_nodes_are_leaf_level_subdivisions():
     deg2 = lc.degree2_nodes()
     assert len(deg2) == 24 * 24
     assert all(lc.graph.degree(v) == 2 for v in deg2)
-    assert all(lc.node_level[v] == 1 and lc.node_role[v] == SUBDIVISION for v in deg2)
+    level1 = {v for copy in lc.copies if copy.level == 1 for v in copy.subdivision_nodes}
+    assert set(deg2) == level1
+    assert level1 == {v for v in range(lc.graph.num_nodes) if lc.graph.degree(v) == 2}
     # level-0 subdivision nodes got a copy attached, so their degree is 3 + 2
     for copy in lc.copies:
         if copy.level == 0:
@@ -41,7 +42,7 @@ def test_copy_of_root():
     assert lc.copy_of_root(lc.r0).id == 0
     child = lc.copies[1]
     assert lc.copy_of_root(child.root) is child
-    assert lc.node_role[child.root] == SUBDIVISION  # attachment point
+    assert child.root in lc.copies[0].subdivision_nodes  # attachment point
     assert lc.copy_of_root(lc.copies[0].branch_nodes[1]) is None
 
 
@@ -73,19 +74,10 @@ def test_canonical_points():
         canonical_point(k5, "gap")  # gap point needs a 3-regular base
 
 
-def test_witness_scheme_requires_maps():
-    lc = build_layered(make_base("k4"), m=4, k=0)
-    with pytest.raises(InstanceError):
-        layered_instance(lc, scheme="witness")
-    costs = {e: Fraction(2) for e in range(lc.graph.num_edges)}
-    pens = {i: Fraction(1) for i in range(len(layered_pairs(lc)))}
-    inst = layered_instance(lc, scheme="witness", costs=costs, penalties=pens)
-    assert inst.costs[0] == 2 and not inst.is_infinite(0)
-
-
 def test_node_cap():
-    with pytest.raises(ResourceWarning):
-        build_layered(make_base("k4"), m=4, k=3, node_cap=10_000)
+    # 34 + 30*33 + 900*33 + 27000*33 = 921,724 nodes, past the 500,000 cap
+    with pytest.raises(ScaleCapError):
+        build_layered(make_base("k4"), m=5, k=3)
 
 
 def test_bad_params():
