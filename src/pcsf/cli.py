@@ -25,8 +25,8 @@ from .instance import (InstanceError, ScaleCapError, make_base, read_frac_soluti
                        write_instance_json)
 from .layered import build_layered, canonical_point, layered_instance
 from .rational import format_rational, parse_rational, rational_json
-from .rounding import (RoundingBoundError, best_threshold_round, gw_steiner_forest,
-                       mu_bound, threshold_round, two_value_round)
+from .rounding import (RoundingBoundError, best_threshold_round, threshold_round,
+                       two_value_round)
 from .simplex import LpInfeasible
 
 

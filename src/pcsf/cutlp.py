@@ -59,11 +59,12 @@ class LpResult:
 
 def _violated_cuts(inst: PcsfInstance, x, z, pairs):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
-    in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1."""
+    in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
+    A pair's flow stops once it reaches 1 - z_i, which proves no such side."""
     for i in pairs:
         s, t = inst.pairs[i]
-        value, side = min_cut(inst.graph, x, s, t)
-        if value + z.get(i, Fraction(0)) < 1:
+        _, side = min_cut(inst.graph, x, s, t, need=1 - z.get(i, 0))
+        if side is not None:
             yield i, frozenset(side)
 
 

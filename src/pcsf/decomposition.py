@@ -7,7 +7,6 @@ curves for the limit arguments.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -544,7 +543,7 @@ def trim_support(lc: LayeredConstruction, dist: ForestDistribution) -> ForestDis
 
 
 def _restricted_degree(graph: Graph, restricted, v):
-    return sum(1 for eid, _ in graph.adj[v] if eid in restricted)
+    return sum(1 for arc, _ in graph.adj[v] if arc >> 1 in restricted)
 
 
 def find_witness_node(lc: LayeredConstruction, dist: ForestDistribution, copy,

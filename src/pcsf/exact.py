@@ -4,7 +4,6 @@ the decomposition module."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cutlp import LpInfeasibleError, solve_cut_lp

@@ -7,6 +7,7 @@ tie-breaking is always by smallest edge id, then smallest node id.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -16,12 +17,17 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Undirected multigraph with integer node indices and edge ids 0..m-1."""
+    """Undirected multigraph with integer node indices and edge ids 0..m-1.
+
+    ``adj[node]`` lists ``(arc, other)`` for each incident edge, where arc
+    2*eid runs u->v and arc 2*eid+1 runs v->u for ``edges[eid] == (u, v)``:
+    ``arc >> 1`` is the edge id and ``edges[arc >> 1][arc & 1]`` the tail.
+    """
 
     def __init__(self, num_nodes: int, edges):
         self.num_nodes = num_nodes
         self.edges = []  # edge id -> (u, v)
-        self.adj = [[] for _ in range(num_nodes)]  # node -> [(edge id, other)]
+        self.adj = [[] for _ in range(num_nodes)]  # node -> [(arc, other)]
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -32,8 +38,8 @@ class Graph:
             raise GraphError(f"self-loop at node {u}")
         eid = len(self.edges)
         self.edges.append((u, v))
-        self.adj[u].append((eid, v))
-        self.adj[v].append((eid, u))
+        self.adj[u].append((2 * eid, v))
+        self.adj[v].append((2 * eid + 1, u))
         return eid
 
     @property
@@ -74,57 +80,77 @@ class UnionFind:
         return self.find(u) == self.find(v)
 
 
-def min_cut(g: Graph, cap, s: int, t: int):
-    """Minimum s-t cut under nonnegative capacities, exactly.
+def min_cut(g: Graph, cap, s: int, t: int, need=None):
+    """Minimum s-t cut under nonnegative rational capacities, exactly.
 
-    ``cap`` maps edge id -> capacity (Fraction/int); missing ids count as 0.
-    Returns ``(value, side)`` where ``side`` is the set of nodes on the
-    s-side of a minimum cut.  Max-flow by shortest augmenting paths
-    (Edmonds-Karp), which terminates for rational capacities.
+    ``cap`` maps edge id -> capacity (int or Fraction); missing ids count
+    as 0.  Returns ``(value, side)`` where ``side`` is the set of nodes
+    reachable from s in the final residual graph: the minimal s-side of a
+    minimum cut, the same for every maximum flow.
+
+    With ``need`` set, the flow stops as soon as it reaches ``need`` and
+    ``(value, None)`` is returned, value >= need: no cut below ``need``
+    exists.  Otherwise the call returns the same pair as without ``need``.
+
+    Capacities are scaled to ints by the lcm of their denominators, and
+    Edmonds-Karp (shortest augmenting paths) runs on one int residual per
+    arc of ``g.adj``.
     """
-    if not (0 <= s < g.num_nodes and 0 <= t < g.num_nodes):
+    n, m = g.num_nodes, g.num_edges
+    if not (0 <= s < n and 0 <= t < n):
         raise GraphError(f"cut endpoints out of range: ({s}, {t})")
     if s == t:
         raise GraphError("min_cut requires s != t")
-    # residual capacities per edge and direction: flow[eid] signed u->v
-    flow = {}
-    value = Fraction(0)
+    ratios = []
+    for eid, c in cap.items():
+        if not 0 <= eid < m:
+            raise GraphError(f"capacity given for unknown edge id {eid!r}")
+        num, den = c.as_integer_ratio()
+        if num < 0:
+            raise GraphError(f"negative capacity {c} on edge {eid}")
+        ratios.append((eid, num, den))
+    scale = math.lcm(*{den for _, _, den in ratios})
+    res = [0] * (2 * m)  # residual capacity per arc, in units of 1/scale
+    for eid, num, den in ratios:
+        res[2 * eid] = res[2 * eid + 1] = num * (scale // den)
+    if need is None:
+        goal = None
+    else:
+        num, den = need.as_integer_ratio()
+        goal = -(-num * scale // den)  # least integer flow >= need * scale
 
-    def residual(eid, frm):
-        u, v = g.edges[eid]
-        c = Fraction(cap.get(eid, 0))
-        f = flow.get(eid, Fraction(0))
-        return c - f if frm == u else c + f
-
-    while True:
-        # BFS for an augmenting path with positive residual capacity
-        pred = {s: None}
-        queue = deque([s])
-        while queue and t not in pred:
-            u = queue.popleft()
-            for eid, w in g.adj[u]:
-                if w not in pred and residual(eid, u) > 0:
-                    pred[w] = (eid, u)
-                    queue.append(w)
+    flow = 0
+    while goal is None or flow < goal:
+        pred = _shortest_path_tree(g.adj, res, s, t)
         if t not in pred:
-            break
-        # bottleneck
-        bott = None
+            return Fraction(flow, scale), set(pred)
+        path = []
         node = t
-        while pred[node] is not None:
-            eid, u = pred[node]
-            r = residual(eid, u)
-            bott = r if bott is None or r < bott else bott
-            node = u
-        node = t
-        while pred[node] is not None:
-            eid, u = pred[node]
-            a, b = g.edges[eid]
-            flow[eid] = flow.get(eid, Fraction(0)) + (bott if u == a else -bott)
-            node = u
-        value += bott
-    side = set(pred)
-    return value, side
+        while node != s:
+            arc = pred[node]
+            path.append(arc)
+            node = g.edges[arc >> 1][arc & 1]
+        bott = min(res[arc] for arc in path)
+        for arc in path:
+            res[arc] -= bott
+            res[arc ^ 1] += bott
+        flow += bott
+    return Fraction(flow, scale), None
+
+
+def _shortest_path_tree(adj, res, s, t) -> dict:
+    """Breadth-first search from s over arcs with positive residual; stops
+    as soon as t is labelled.  Returns node -> arc it was reached by."""
+    pred = {s: None}
+    queue = deque([s])
+    while queue:
+        for arc, w in adj[queue.popleft()]:
+            if res[arc] and w not in pred:
+                pred[w] = arc
+                if w == t:
+                    return pred
+                queue.append(w)
+    return pred
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -134,7 +160,7 @@ def edge_connectivity(g: Graph) -> int:
     comps = components(g, set(range(g.num_edges)))
     if len(comps) > 1:
         return 0
-    unit = {eid: Fraction(1) for eid in range(g.num_edges)}
+    unit = dict.fromkeys(range(g.num_edges), 1)
     best = None
     # fixing s=0 suffices: some min cut separates node 0 from something
     for t in range(1, g.num_nodes):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph, GraphError
-from .rational import INF, Infinite, format_rational, parse_penalty, parse_rational
+from .rational import Infinite, format_rational, parse_penalty, parse_rational
 
 
 class InstanceError(ValueError):

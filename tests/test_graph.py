@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsf.graph import (Graph, GraphError, UnionFind, component_labels, components,
                         cut_edges, edge_connectivity, is_forest, min_cut,
@@ -44,9 +47,15 @@ def test_min_cut_triangle_exact():
 def test_min_cut_respects_capacities():
     # path 0-1-2 with a bottleneck in the middle
     g = Graph(3, [(0, 1), (1, 2)])
-    value, side = min_cut(g, {0: Fraction(5), 1: Fraction(2, 7)}, 0, 2)
+    cap = {0: Fraction(5), 1: Fraction(2, 7)}
+    value, side = min_cut(g, cap, 0, 2)
     assert value == Fraction(2, 7)
     assert side == {0, 1}
+    # with a need the flow stops once it reaches it; below the cut value
+    # the call answers as without one
+    assert min_cut(g, cap, 0, 2, need=Fraction(2, 7)) == (Fraction(2, 7), None)
+    assert min_cut(g, cap, 0, 2, need=Fraction(3, 7)) == (Fraction(2, 7), {0, 1})
+    assert min_cut(g, cap, 0, 2, need=0) == (0, None)
 
 
 def test_min_cut_zero_capacity_edge_disconnects():
@@ -54,6 +63,74 @@ def test_min_cut_zero_capacity_edge_disconnects():
     value, side = min_cut(g, {}, 0, 1)
     assert value == 0
     assert side == {0}
+
+
+def test_min_cut_rejects_bad_endpoints():
+    g = triangle()
+    with pytest.raises(GraphError):
+        min_cut(g, {}, 1, 1)
+    with pytest.raises(GraphError):
+        min_cut(g, {}, 0, 3)
+
+
+def test_min_cut_rejects_negative_capacity():
+    g = triangle()
+    with pytest.raises(GraphError, match="negative"):
+        min_cut(g, {0: Fraction(1), 1: Fraction(-1, 2)}, 0, 2)
+
+
+def test_min_cut_rejects_unknown_edge_id():
+    g = triangle()
+    for eid in (3, -1):
+        with pytest.raises(GraphError, match="unknown edge"):
+            min_cut(g, {0: Fraction(1), eid: Fraction(1)}, 0, 2)
+
+
+@st.composite
+def flow_networks(draw):
+    """A multigraph on 2..7 nodes, rational capacities with mixed
+    denominators (some edges 0 or absent), distinct s and t, and a need
+    that is None or a rational in [0, 4]."""
+    n = draw(st.integers(2, 7))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    g = Graph(n, draw(st.lists(edge, max_size=12)))
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)))
+    cap = {}
+    for eid in range(g.num_edges):
+        c = draw(st.one_of(st.none(), value))
+        if c is not None:
+            cap[eid] = c
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    need = draw(st.one_of(st.none(), st.builds(Fraction, st.integers(0, 8), st.integers(1, 2))))
+    return g, cap, s, t, need
+
+
+def brute_force_cuts(g, cap, s, t):
+    """cap(delta(S)) for every node set S with s in S and t not in S."""
+    rest = [v for v in range(g.num_nodes) if v not in (s, t)]
+    for k in range(len(rest) + 1):
+        for extra in combinations(rest, k):
+            side = {s, *extra}
+            yield sum(cap.get(e, 0) for e in cut_edges(g, side)), side
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(flow_networks())
+def test_min_cut_matches_brute_force(case):
+    g, cap, s, t, need = case
+    cuts = list(brute_force_cuts(g, cap, s, t))
+    best = min(value for value, _ in cuts)
+    value, side = min_cut(g, cap, s, t)
+    assert value == best
+    assert s in side and t not in side
+    assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
+    assert all(side <= other for v, other in cuts if v == best)
+    if need is not None:
+        early = min_cut(g, cap, s, t, need=need)
+        if best >= need:
+            assert early[1] is None and need <= early[0] <= best
+        else:
+            assert early == (value, side)
 
 
 def test_components_and_labels():
