@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import simplex
-from .graph import component_labels, cut_edges, min_cut
+from .graph import component_labels, cut_edges, min_cut, scale_capacities
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -60,10 +60,13 @@ class LpResult:
 def _violated_cuts(inst: PcsfInstance, x, z, pairs):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
     in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
-    A pair's flow stops once it reaches 1 - z_i, which proves no such side."""
+    A pair's flow stops once it reaches 1 - z_i, which proves no such side.
+    x is checked and scaled to ints once, for all the pairs."""
+    g = inst.graph
+    cap = scale_capacities(g, x)
     for i in pairs:
         s, t = inst.pairs[i]
-        _, side = min_cut(inst.graph, x, s, t, need=1 - z.get(i, 0))
+        _, side = min_cut(g, cap, s, t, need=1 - z.get(i, 0))
         if side is not None:
             yield i, frozenset(side)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -80,27 +81,18 @@ class UnionFind:
         return self.find(u) == self.find(v)
 
 
-def min_cut(g: Graph, cap, s: int, t: int, need=None):
-    """Minimum s-t cut under nonnegative rational capacities, exactly.
+class ScaledCapacities(NamedTuple):
+    """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
+    the int capacity of arc a (both arcs of an edge carry it)."""
 
-    ``cap`` maps edge id -> capacity (int or Fraction); missing ids count
-    as 0.  Returns ``(value, side)`` where ``side`` is the set of nodes
-    reachable from s in the final residual graph: the minimal s-side of a
-    minimum cut, the same for every maximum flow.
+    arcs: list
+    scale: int
 
-    With ``need`` set, the flow stops as soon as it reaches ``need`` and
-    ``(value, None)`` is returned, value >= need: no cut below ``need``
-    exists.  Otherwise the call returns the same pair as without ``need``.
 
-    Capacities are scaled to ints by the lcm of their denominators, and
-    Edmonds-Karp (shortest augmenting paths) runs on one int residual per
-    arc of ``g.adj``.
-    """
-    n, m = g.num_nodes, g.num_edges
-    if not (0 <= s < n and 0 <= t < n):
-        raise GraphError(f"cut endpoints out of range: ({s}, {t})")
-    if s == t:
-        raise GraphError("min_cut requires s != t")
+def scale_capacities(g: Graph, cap) -> ScaledCapacities:
+    """Check and scale ``cap`` (edge id -> nonnegative int or Fraction,
+    missing ids 0) to ints by the lcm of its denominators."""
+    m = g.num_edges
     ratios = []
     for eid, c in cap.items():
         if not 0 <= eid < m:
@@ -110,9 +102,40 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
             raise GraphError(f"negative capacity {c} on edge {eid}")
         ratios.append((eid, num, den))
     scale = math.lcm(*{den for _, _, den in ratios})
-    res = [0] * (2 * m)  # residual capacity per arc, in units of 1/scale
+    arcs = [0] * (2 * m)
     for eid, num, den in ratios:
-        res[2 * eid] = res[2 * eid + 1] = num * (scale // den)
+        arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
+    return ScaledCapacities(arcs, scale)
+
+
+def min_cut(g: Graph, cap, s: int, t: int, need=None):
+    """Minimum s-t cut under nonnegative rational capacities, exactly.
+
+    ``cap`` maps edge id -> capacity (int or Fraction); missing ids count
+    as 0.  It may also be ``scale_capacities(g, cap)``, so that several
+    cuts under the same capacities check and scale them once.  Returns
+    ``(value, side)`` where ``side`` is the set of nodes reachable from s
+    in the final residual graph: the minimal s-side of a minimum cut, the
+    same for every maximum flow.
+
+    With ``need`` set, the flow stops as soon as it reaches ``need`` and
+    ``(value, None)`` is returned, value >= need: no cut below ``need``
+    exists.  Otherwise the call returns the same pair as without ``need``.
+
+    Edmonds-Karp (shortest augmenting paths) runs on one int residual per
+    arc of ``g.adj``.
+    """
+    n = g.num_nodes
+    if not (0 <= s < n and 0 <= t < n):
+        raise GraphError(f"cut endpoints out of range: ({s}, {t})")
+    if s == t:
+        raise GraphError("min_cut requires s != t")
+    if not isinstance(cap, ScaledCapacities):
+        cap = scale_capacities(g, cap)
+    elif len(cap.arcs) != 2 * g.num_edges:
+        raise GraphError("scaled capacities belong to another graph")
+    scale = cap.scale
+    res = list(cap.arcs)  # residual capacity per arc, in units of 1/scale
     if need is None:
         goal = None
     else:

@@ -1,12 +1,23 @@
 """Exact rational LP solver.
 
 All variables are nonnegative; rows are sparse dicts with senses in
-{'<=', '>=', '='}.  The solver first runs a fast float simplex (numpy
-tableau, Dantzig rule) to guess an optimal basis, then certifies that
-basis in exact rational arithmetic (basic solution nonnegative, all
-reduced costs nonnegative).  If certification fails it falls back to a
-full tableau simplex over Fractions with Bland's rule, so every returned
-solution and dual is exact regardless of the path taken.
+{'<=', '>=', '='}.  A solve tries these sources of an answer in turn:
+
+1. A float tableau simplex (numpy, Dantzig's rule) guesses an optimal
+   basis.
+2. Float solves of that basis give x_B and the duals y, which rational
+   reconstruction (``limit_denominator``) turns into a candidate.
+3. One exact check on the sparse rows accepts a candidate only as a full
+   optimality proof: B x_B = b on the tight rows, x_B and the basic slacks
+   nonnegative, B^T y = c_B and every nonbasic reduced cost nonnegative.
+4. If reconstruction fails or the check rejects its candidate, exact
+   Gauss-Jordan elimination on the basis gives the candidate instead, and
+   the same check decides.
+5. Any other float outcome, or a basis that fails both candidates, goes to
+   a full tableau simplex over Fractions with Bland's rule.
+
+So every returned solution and dual is exact, whichever path produced it;
+no result is accepted on float evidence alone.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import numpy as np
 
 FLOAT_TOL = 1e-9
 MAX_PIVOTS = 20000  # per phase of the float simplex
+MAX_DENOMINATOR = 10**6  # rational reconstruction bound
 
 
 class LpError(RuntimeError):
@@ -39,44 +51,48 @@ class LpSolution:
     duals: list              # one Fraction per input row, in input order
 
 
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
 def _standardize(num_vars, c, rows, senses, rhs):
-    """Equality standard form with slack columns; returns exact matrices.
+    """Equality standard form with slack columns, over exact sparse rows.
 
-    Rows with negative rhs are negated (sense flipped) so b >= 0; the
-    returned ``flip`` list maps duals back to the caller's orientation.
+    Returns ``(A, cost, b, flip, ncols, slack_cols)``: ``A[i]`` maps each
+    column with a nonzero coefficient in row i (its slack included) to a
+    Fraction, and ``slack_cols`` maps each slack column to its row.  Rows
+    with negative rhs are negated (sense flipped) so b >= 0; the ``flip``
+    list maps duals back to the caller's orientation.
     """
-    m = len(rows)
-    flip = [False] * m
-    norm_rows, norm_senses, norm_rhs = [], [], []
-    for i in range(m):
-        row, sense, b = rows[i], senses[i], Fraction(rhs[i])
-        if b < 0:
-            row = {j: -a for j, a in row.items()}
-            b = -b
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            flip[i] = True
-        norm_rows.append(row)
-        norm_senses.append(sense)
-        norm_rhs.append(b)
-
-    slack_of_row = {}
-    slack_cols = {}  # slack column -> (row, sign)
+    A, b, flip, slack_cols = [], [], [], {}
     ncols = num_vars
-    for i, sense in enumerate(norm_senses):
-        if sense in ("<=", ">="):
-            slack_of_row[i] = ncols
-            slack_cols[ncols] = (i, Fraction(1) if sense == "<=" else Fraction(-1))
-            ncols += 1
-
-    A = [[Fraction(0)] * ncols for _ in range(m)]
-    for i, row in enumerate(norm_rows):
+    for i, (row, sense, bi) in enumerate(zip(rows, senses, rhs)):
+        if sense not in _FLIP:
+            raise LpError(f"unknown row sense {sense!r}")
+        bi = Fraction(bi)
+        neg = bi < 0
+        out = {}
         for j, a in row.items():
-            A[i][j] = Fraction(a)
-        if i in slack_of_row:
-            A[i][slack_of_row[i]] = Fraction(1) if norm_senses[i] == "<=" else Fraction(-1)
+            if not 0 <= j < num_vars:
+                raise LpError(f"row {i} has coefficient for unknown column {j!r}")
+            a = Fraction(a)
+            if a:
+                out[j] = -a if neg else a
+        if neg:
+            bi, sense = -bi, _FLIP[sense]
+        if sense != "=":
+            out[ncols] = Fraction(1) if sense == "<=" else Fraction(-1)
+            slack_cols[ncols] = i
+            ncols += 1
+        A.append(out)
+        b.append(bi)
+        flip.append(neg)
     cost = [Fraction(c.get(j, 0)) if isinstance(c, dict) else Fraction(c[j]) for j in range(num_vars)]
     cost += [Fraction(0)] * (ncols - num_vars)
-    return A, cost, norm_rhs, flip, ncols, slack_cols
+    return A, cost, b, flip, ncols, slack_cols
+
+
+def _float(q):
+    return q.numerator / q.denominator  # what float(Fraction) computes
 
 
 def _float_simplex(A, cost, b, ncols):
@@ -85,55 +101,56 @@ def _float_simplex(A, cost, b, ncols):
     m = len(A)
     total = ncols + m  # artificial column per row
     T = np.zeros((m, total + 1))
-    for i in range(m):
-        for j in range(ncols):
-            T[i, j] = float(A[i][j])
-        T[i, ncols + i] = 1.0
-        T[i, total] = float(b[i])
+    entries = [(i, j, _float(a)) for i, row in enumerate(A) for j, a in row.items()]
+    if entries:
+        ii, jj, vals = zip(*entries)
+        T[ii, jj] = vals
+    T[np.arange(m), ncols + np.arange(m)] = 1.0
+    T[:, total] = [_float(v) for v in b]
     basis = [ncols + i for i in range(m)]
 
-    def pivot(T, r, col):
-        T[r] /= T[r, col]
-        for i in range(T.shape[0]):
-            if i != r and abs(T[i, col]) > 1e-14:
-                T[i] -= T[i, col] * T[r]
+    def pivot(r, col):
+        # eliminate col from the rows where |T[i, col]| > 1e-14, as a
+        # row-by-row loop would; the columns where the pivot row is zero
+        # would only have 0 subtracted, which changes no nonzero entry
+        prow = T[r]
+        prow /= prow[col]
+        hit = abs(T[:, col]) > 1e-14
+        hit[r] = False
+        rows = hit.nonzero()[0][:, None]
+        cols = prow.nonzero()[0]
+        T[rows, cols] -= T[rows, col] * prow[cols]
 
-    def run(obj, allowed):
+    def run(obj, limit):
         for _ in range(MAX_PIVOTS):
             # reduced costs: obj_j - y.A_j with y = obj[basis] via tableau
-            y = obj[basis]
-            red = obj[: total] - y @ T[:, :total]
-            red[~allowed] = np.inf
-            col = int(np.argmin(red))
+            red = obj - obj[basis] @ T[:, :total]
+            red[limit:] = np.inf
+            col = int(red.argmin())
             if red[col] > -FLOAT_TOL:
                 return "optimal"
-            ratios = np.full(T.shape[0], np.inf)
             ok = T[:, col] > FLOAT_TOL
-            ratios[ok] = T[ok, total] / T[ok, col]
-            r = int(np.argmin(ratios))
+            ratios = np.divide(T[:, total], T[:, col], out=np.full(m, np.inf), where=ok)
+            r = int(ratios.argmin())
             if not np.isfinite(ratios[r]):
                 return "unbounded"
-            pivot(T, r, col)
+            pivot(r, col)
             basis[r] = col
         return "pivot_limit"
 
-    allowed1 = np.ones(total, dtype=bool)
-    obj1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    status = run(obj1, allowed1)
+    status = run(np.concatenate([np.zeros(ncols), np.ones(m)]), total)
     if status != "optimal":
         return status, basis
     if sum(T[i, total] for i in range(m) if basis[i] >= ncols) > 1e-7:
         return "infeasible", basis
-    allowed2 = np.concatenate([np.ones(ncols, dtype=bool), np.zeros(m, dtype=bool)])
-    obj2 = np.concatenate([np.array([float(x) for x in cost[:ncols]]), np.zeros(m)])
-    return run(obj2, allowed2), basis
+    obj2 = np.concatenate([[_float(v) for v in cost[:ncols]], np.zeros(m)])
+    return run(obj2, ncols), basis
 
 
 def _exact_solve_square(M, rhs_cols):
     """Solve M X = RHS exactly by Gaussian elimination; None if singular."""
     m = len(M)
     aug = [list(M[i]) + [Fraction(col[i]) for col in rhs_cols] for i in range(m)]
-    width = m + len(rhs_cols)
     for col in range(m):
         piv = None
         for r in range(col, m):
@@ -156,12 +173,90 @@ def _exact_solve_square(M, rhs_cols):
     return sols
 
 
-def _certify(A, cost, b, ncols, basis, slack_cols):
-    """Exact optimality check of a candidate basis; returns (x, obj, y) or None.
+def _reconstructed(A, cost, b, struct, tight):
+    """Candidate (x over struct, y over tight) from float solves of the
+    basis, each value rounded to the nearest rational with denominator at
+    most MAX_DENOMINATOR; None if the float basis is singular."""
+    pos = {c: k for k, c in enumerate(struct)}
+    B = np.zeros((len(tight), len(struct)))
+    for k, r in enumerate(tight):
+        for c, a in A[r].items():
+            if c in pos:
+                B[k, pos[c]] = _float(a)
+    try:
+        xs = np.linalg.solve(B, [_float(b[r]) for r in tight])
+        ys = np.linalg.solve(B.T, [_float(cost[c]) for c in struct])
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return None
+    return ([Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in xs.tolist()],
+            [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in ys.tolist()])
 
-    Basic slack columns are singletons, so the square solve collapses to
-    the tight rows versus the basic structural columns; slack values and
-    the remaining duals (zero on slack-basic rows) follow by substitution.
+
+def _eliminated(A, cost, b, struct, tight):
+    """Candidate (x over struct, y over tight) by exact elimination on the
+    basis; None if it is singular."""
+    Bs = [[A[r].get(c, Fraction(0)) for c in struct] for r in tight]
+    xsol = _exact_solve_square(Bs, [[b[r] for r in tight]])
+    if xsol is None:
+        return None
+    Bt = [list(col) for col in zip(*Bs)]
+    ysol = _exact_solve_square(Bt, [[cost[c] for c in struct]])
+    if ysol is None:
+        return None
+    return xsol[0], ysol[0]
+
+
+def _check(A, cost, b, slack_of, struct, tight, xs, ys):
+    """Exact optimality check of a candidate on the sparse rows; returns
+    (x, obj, y) or None.
+
+    x is xs on the basic structural columns ``struct``, each basic slack
+    (``slack_of``: row -> its basic slack column) follows from its row, and
+    every other column is 0; y is ys on the ``tight`` rows and 0 elsewhere.
+    Accepted only if x is feasible (tight rows met with equality, x_B and
+    basic slacks >= 0) and y prices every basic column at its cost and no
+    nonbasic column below it, which proves x and y optimal.
+    """
+    x = [Fraction(0)] * len(cost)
+    for c, v in zip(struct, xs):
+        if v < 0:
+            return None
+        x[c] = v
+    for i, row in enumerate(A):
+        act = sum(a * x[j] for j, a in row.items() if x[j])
+        col = slack_of.get(i)
+        if col is None:
+            if act != b[i]:
+                return None
+        else:
+            v = (b[i] - act) / row[col]
+            if v < 0:
+                return None
+            x[col] = v
+    y = [Fraction(0)] * len(A)
+    priced = [Fraction(0)] * len(cost)  # y.A_j
+    for r, v in zip(tight, ys):
+        y[r] = v
+        if v:
+            for j, a in A[r].items():
+                priced[j] += v * a
+    basic = set(struct).union(slack_of.values())
+    for j, (p, c) in enumerate(zip(priced, cost)):
+        if p > c or (j in basic and p != c):
+            return None
+    obj = sum(cost[c] * x[c] for c in struct)
+    return x, obj, y
+
+
+def _certify(A, cost, b, ncols, basis, slack_cols):
+    """Exact optimality proof of a candidate basis; returns (x, obj, y) or None.
+
+    Basic slack columns are singletons, so the basis reduces to the tight
+    rows (those whose slack is nonbasic) against the basic structural
+    columns.  Its candidate comes from rational reconstruction, or, if that
+    fails the check, from exact elimination.
     """
     m = len(A)
     if any(col >= ncols for col in basis):
@@ -169,42 +264,17 @@ def _certify(A, cost, b, ncols, basis, slack_cols):
     if len(set(basis)) != m:
         return None
     struct = [col for col in basis if col not in slack_cols]
-    slack_basic = [col for col in basis if col in slack_cols]
-    slack_rows = {slack_cols[col][0] for col in slack_basic}
-    tight_rows = [r for r in range(m) if r not in slack_rows]
-    if len(tight_rows) != len(struct):
+    slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
+    tight = [r for r in range(m) if r not in slack_of]
+    if len(tight) != len(struct):
         return None
-    k = len(struct)
-    Bs = [[A[r][c] for c in struct] for r in tight_rows]
-    sol = _exact_solve_square(Bs, [[b[r] for r in tight_rows]])
-    if sol is None:
-        return None
-    xval = dict(zip(struct, sol[0]))
-    for col in slack_basic:
-        r, sign = slack_cols[col]
-        xval[col] = (b[r] - sum(A[r][c] * xval[c] for c in struct if A[r][c])) / sign
-    if any(v < 0 for v in xval.values()):
-        return None
-    Bt = [[Bs[i][j] for i in range(k)] for j in range(k)]
-    cb = [cost[c] for c in struct]
-    ysol = _exact_solve_square(Bt, [cb]) if k else [[]]
-    if ysol is None:
-        return None
-    y = [Fraction(0)] * m
-    for idx, r in enumerate(tight_rows):
-        y[r] = ysol[0][idx]
-    basic = set(basis)
-    for j in range(ncols):
-        if j in basic:
-            continue
-        red = cost[j] - sum(y[r] * A[r][j] for r in tight_rows if A[r][j])
-        if red < 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for col, v in xval.items():
-        x[col] = v
-    obj = sum(cost[col] * xval[col] for col in basis)
-    return x, obj, y
+    for candidate in (_reconstructed, _eliminated):
+        cand = candidate(A, cost, b, struct, tight)
+        if cand is not None:
+            result = _check(A, cost, b, slack_of, struct, tight, *cand)
+            if result is not None:
+                return result
+    return None
 
 
 def _exact_simplex(A, cost, b, ncols):
@@ -212,9 +282,9 @@ def _exact_simplex(A, cost, b, ncols):
     m = len(A)
     total = ncols + m
     T = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    for i in range(m):
-        for j in range(ncols):
-            T[i][j] = A[i][j]
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            T[i][j] = a
         T[i][ncols + i] = Fraction(1)
         T[i][total] = b[i]
     basis = [ncols + i for i in range(m)]
@@ -232,9 +302,10 @@ def _exact_simplex(A, cost, b, ncols):
     def run(obj, limit):
         while True:  # Bland's rule cannot cycle, so this terminates
             y = [obj[basis[i]] for i in range(m)]
+            basic = set(basis)
             entering = None
             for j in range(limit):
-                if j in set(basis):
+                if j in basic:
                     continue
                 red = obj[j] - sum(y[i] * T[i][j] for i in range(m) if T[i][j])
                 if red < 0:

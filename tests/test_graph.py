@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcsf.graph import (Graph, GraphError, UnionFind, component_labels, components,
                         cut_edges, edge_connectivity, is_forest, min_cut,
-                        minimum_spanning_tree)
+                        minimum_spanning_tree, scale_capacities)
 
 
 def triangle():
@@ -86,6 +86,13 @@ def test_min_cut_rejects_unknown_edge_id():
             min_cut(g, {0: Fraction(1), eid: Fraction(1)}, 0, 2)
 
 
+def test_min_cut_rejects_capacities_scaled_for_another_graph():
+    scaled = scale_capacities(Graph(3, [(0, 1), (1, 2)]), {0: Fraction(1, 2)})
+    assert scaled.scale == 2 and scaled.arcs == [1, 1, 0, 0]
+    with pytest.raises(GraphError, match="another graph"):
+        min_cut(triangle(), scaled, 0, 2)
+
+
 @st.composite
 def flow_networks(draw):
     """A multigraph on 2..7 nodes, rational capacities with mixed
@@ -125,12 +132,15 @@ def test_min_cut_matches_brute_force(case):
     assert s in side and t not in side
     assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
     assert all(side <= other for v, other in cuts if v == best)
+    scaled = scale_capacities(g, cap)
+    assert min_cut(g, scaled, s, t) == (value, side)
     if need is not None:
         early = min_cut(g, cap, s, t, need=need)
         if best >= need:
             assert early[1] is None and need <= early[0] <= best
         else:
             assert early == (value, side)
+        assert min_cut(g, scaled, s, t, need=need) == early
 
 
 def test_components_and_labels():

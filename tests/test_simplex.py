@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsf import simplex
-from pcsf.simplex import LpInfeasible, LpUnbounded, solve_max, solve_min
+from pcsf.simplex import LpError, LpInfeasible, LpUnbounded, solve_max, solve_min
 
 
 def test_tiny_min():
@@ -106,3 +110,180 @@ def test_duals_certify_objective():
     rows = [{0: 2, 1: 1}, {0: 1, 1: 3}]
     sol = solve_min(2, [Fraction(4), Fraction(5)], rows, [">=", ">="], [3, 4])
     assert sum(Fraction(b) * y for b, y in zip([3, 4], sol.duals)) == sol.objective
+
+
+def test_rejects_unknown_sense_and_column():
+    with pytest.raises(LpError, match="sense"):
+        solve_min(1, [Fraction(1)], [{0: 1}], ["=="], [1])
+    with pytest.raises(LpError, match="column"):
+        solve_min(1, [Fraction(1)], [{1: 1}], [">="], [1])
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except LpInfeasible:
+        return "infeasible"
+    except LpUnbounded:
+        return "unbounded"
+
+
+@st.composite
+def lps(draw):
+    """Dense-ish LPs on 1..4 variables and 1..5 rows with rational
+    coefficients (denominators up to 7) and every row sense."""
+    frac = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 7))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    c = [draw(frac) for _ in range(n)]
+    rows = [{j: draw(frac) for j in draw(st.sets(st.integers(0, n - 1), min_size=1))}
+            for _ in range(m)]
+    senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    rhs = [draw(frac) for _ in range(m)]
+    return n, c, rows, senses, rhs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(lps())
+def test_solve_min_against_exact_simplex(lp):
+    n, c, rows, senses, rhs = lp
+    sol = outcome(lambda: solve_min(*lp))
+    A, cost, b, _, ncols, _ = simplex._standardize(*lp)
+    slow = outcome(lambda: simplex._exact_simplex(A, cost, b, ncols))
+    if isinstance(slow, str):
+        assert sol == slow
+        return
+    assert sol.objective == slow[1]
+    assert_optimal(lp, sol.x, sol.duals, sol.objective)
+
+
+def assert_optimal(lp, x, duals, objective):
+    """(x, duals) is a complete optimality certificate, checked exactly:
+    x feasible, duals feasible, c.x = b.y = objective."""
+    n, c, rows, senses, rhs = lp
+    assert all(v >= 0 for v in x)
+    for row, sense, bi, y in zip(rows, senses, rhs, duals):
+        act = sum(a * x[j] for j, a in row.items())
+        assert {"<=": act <= bi, ">=": act >= bi, "=": act == bi}[sense]
+        assert {"<=": y <= 0, ">=": y >= 0, "=": True}[sense]
+    for j in range(n):
+        assert c[j] - sum(y * row.get(j, 0) for row, y in zip(rows, duals)) >= 0
+    assert sum(cj * xj for cj, xj in zip(c, x)) == objective
+    assert sum(bi * y for bi, y in zip(rhs, duals)) == objective
+
+
+@pytest.mark.parametrize("bound", [simplex.MAX_DENOMINATOR, 1])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lp=lps())
+def test_certify_accepts_only_optimal_bases(bound, lp):
+    """Every basis of the standard form is offered to the certificate; the
+    ones it accepts must come with an exact optimality proof.  With the
+    bound at 1 most reconstructed candidates are wrong and the exact check
+    has to catch them."""
+    A, cost, b, flip, ncols, slack_cols = simplex._standardize(*lp)
+    saved = simplex.MAX_DENOMINATOR
+    simplex.MAX_DENOMINATOR = bound
+    try:
+        for basis in combinations(range(ncols), len(A)):
+            result = simplex._certify(A, cost, b, ncols, list(basis), slack_cols)
+            if result is not None:
+                x, obj, y = result
+                assert_optimal(lp, x[:lp[0]], [-v if f else v for v, f in zip(y, flip)], obj)
+    finally:
+        simplex.MAX_DENOMINATOR = saved
+
+
+def test_reconstruction_failure_falls_back_to_elimination(monkeypatch):
+    used = []
+    for name in ("_eliminated", "_exact_simplex"):
+        def spy(*args, _run=getattr(simplex, name), _name=name):
+            used.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(simplex, name, spy)
+
+    # the optimum's denominator is past the reconstruction bound
+    q = simplex.MAX_DENOMINATOR + 3
+    sol = solve_min(1, [Fraction(1)], [{0: q}], [">="], [1])
+    assert (sol.x, sol.objective, sol.duals) == ([Fraction(1, q)], Fraction(1, q), [Fraction(1, q)])
+    assert used == ["_eliminated"]
+
+    # with the bound at 1 only integers can be reconstructed
+    used.clear()
+    monkeypatch.setattr(simplex, "MAX_DENOMINATOR", 1)
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 3}]
+    sol = solve_min(2, [Fraction(4), Fraction(5)], rows, [">=", ">="], [3, 4])
+    assert (sol.x, sol.objective, sol.duals) == ([Fraction(1), Fraction(1)], 9, [Fraction(7, 5), Fraction(6, 5)])
+    assert used == ["_eliminated"]
+
+
+def reference_float_simplex(A, cost, b, ncols):
+    """The float simplex as first written, with a row-by-row pivot: the
+    reference whose status and basis ``simplex._float_simplex`` must
+    reproduce exactly."""
+    m = len(A)
+    total = ncols + m
+    T = np.zeros((m, total + 1))
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            T[i, j] = float(a)
+        T[i, ncols + i] = 1.0
+        T[i, total] = float(b[i])
+    basis = [ncols + i for i in range(m)]
+
+    def pivot(r, col):
+        T[r] /= T[r, col]
+        for i in range(m):
+            if i != r and abs(T[i, col]) > 1e-14:
+                T[i] -= T[i, col] * T[r]
+
+    def run(obj, allowed):
+        for _ in range(simplex.MAX_PIVOTS):
+            y = obj[basis]
+            red = obj[:total] - y @ T[:, :total]
+            red[~allowed] = np.inf
+            col = int(np.argmin(red))
+            if red[col] > -simplex.FLOAT_TOL:
+                return "optimal"
+            ratios = np.full(m, np.inf)
+            ok = T[:, col] > simplex.FLOAT_TOL
+            ratios[ok] = T[ok, total] / T[ok, col]
+            r = int(np.argmin(ratios))
+            if not np.isfinite(ratios[r]):
+                return "unbounded"
+            pivot(r, col)
+            basis[r] = col
+        return "pivot_limit"
+
+    status = run(np.concatenate([np.zeros(ncols), np.ones(m)]), np.ones(total, dtype=bool))
+    if status != "optimal":
+        return status, basis
+    if sum(T[i, total] for i in range(m) if basis[i] >= ncols) > 1e-7:
+        return "infeasible", basis
+    obj2 = np.concatenate([np.array([float(v) for v in cost[:ncols]]), np.zeros(m)])
+    allowed2 = np.concatenate([np.ones(ncols, dtype=bool), np.zeros(m, dtype=bool)])
+    return run(obj2, allowed2), basis
+
+
+def test_float_simplex_matches_row_by_row_reference():
+    rng = random.Random(5)
+    statuses = set()
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        m = rng.randint(1, 16)
+        if trial % 2:
+            # covering rows as the cut LP writes them: degenerate, many ties
+            c = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+            rows = [dict.fromkeys(rng.sample(range(n), rng.randint(1, n)), 1)
+                    for _ in range(m)]
+            senses, rhs = [">="] * m, [1] * m
+        else:
+            c = [Fraction(rng.randint(-3, 9), rng.randint(1, 4)) for _ in range(n)]
+            rows = [{j: Fraction(rng.randint(-3, 4), rng.randint(1, 3))
+                     for j in rng.sample(range(n), rng.randint(1, n))} for _ in range(m)]
+            senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+            rhs = [Fraction(rng.randint(-4, 6)) for _ in range(m)]
+        A, cost, b, _, ncols, _ = simplex._standardize(n, c, rows, senses, rhs)
+        got = simplex._float_simplex(A, cost, b, ncols)
+        assert got == reference_float_simplex(A, cost, b, ncols)
+        statuses.add(got[0])
+    assert statuses == {"optimal", "infeasible", "unbounded"}
