@@ -111,9 +111,9 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
     """Minimum s-t cut under nonnegative rational capacities, exactly.
 
-    ``cap`` maps edge id -> capacity (int or Fraction); missing ids count
-    as 0.  It may also be ``scale_capacities(g, cap)``, so that several
-    cuts under the same capacities check and scale them once.  Returns
+    ``cap`` is ``scale_capacities(g, c)`` for a capacity map ``c``, so
+    that several cuts under the same capacities check and scale them
+    once.  Returns
     ``(value, side)`` where ``side`` is the set of nodes reachable from s
     in the final residual graph: the minimal s-side of a minimum cut, the
     same for every maximum flow.
@@ -130,10 +130,9 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
         raise GraphError(f"cut endpoints out of range: ({s}, {t})")
     if s == t:
         raise GraphError("min_cut requires s != t")
-    if not isinstance(cap, ScaledCapacities):
-        cap = scale_capacities(g, cap)
-    elif len(cap.arcs) != 2 * g.num_edges:
-        raise GraphError("scaled capacities belong to another graph")
+    if len(cap.arcs) != 2 * g.num_edges:
+        raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
+                         f"the graph has {g.num_edges}")
     scale = cap.scale
     res = list(cap.arcs)  # residual capacity per arc, in units of 1/scale
     if need is None:
@@ -183,7 +182,7 @@ def edge_connectivity(g: Graph) -> int:
     comps = components(g, set(range(g.num_edges)))
     if len(comps) > 1:
         return 0
-    unit = dict.fromkeys(range(g.num_edges), 1)
+    unit = scale_capacities(g, dict.fromkeys(range(g.num_edges), 1))
     best = None
     # fixing s=0 suffices: some min cut separates node 0 from something
     for t in range(1, g.num_nodes):

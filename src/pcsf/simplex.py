@@ -10,11 +10,9 @@ All variables are nonnegative; rows are sparse dicts with senses in
 3. One exact check on the sparse rows accepts a candidate only as a full
    optimality proof: B x_B = b on the tight rows, x_B and the basic slacks
    nonnegative, B^T y = c_B and every nonbasic reduced cost nonnegative.
-4. If reconstruction fails or the check rejects its candidate, exact
-   Gauss-Jordan elimination on the basis gives the candidate instead, and
-   the same check decides.
-5. Any other float outcome, or a basis that fails both candidates, goes to
-   a full tableau simplex over Fractions with Bland's rule.
+4. Any other float outcome, a failed reconstruction or a rejected
+   candidate goes to a full tableau simplex over Fractions with Bland's
+   rule.
 
 So every returned solution and dual is exact, whichever path produced it;
 no result is accepted on float evidence alone.
@@ -147,32 +145,6 @@ def _float_simplex(A, cost, b, ncols):
     return run(obj2, ncols), basis
 
 
-def _exact_solve_square(M, rhs_cols):
-    """Solve M X = RHS exactly by Gaussian elimination; None if singular."""
-    m = len(M)
-    aug = [list(M[i]) + [Fraction(col[i]) for col in rhs_cols] for i in range(m)]
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                prow = aug[col]
-                aug[r] = [a - factor * p for a, p in zip(aug[r], prow)]
-    sols = []
-    for kcol in range(len(rhs_cols)):
-        sols.append([aug[i][m + kcol] for i in range(m)])
-    return sols
-
-
 def _reconstructed(A, cost, b, struct, tight):
     """Candidate (x over struct, y over tight) from float solves of the
     basis, each value rounded to the nearest rational with denominator at
@@ -192,20 +164,6 @@ def _reconstructed(A, cost, b, struct, tight):
         return None
     return ([Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in xs.tolist()],
             [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in ys.tolist()])
-
-
-def _eliminated(A, cost, b, struct, tight):
-    """Candidate (x over struct, y over tight) by exact elimination on the
-    basis; None if it is singular."""
-    Bs = [[A[r].get(c, Fraction(0)) for c in struct] for r in tight]
-    xsol = _exact_solve_square(Bs, [[b[r] for r in tight]])
-    if xsol is None:
-        return None
-    Bt = [list(col) for col in zip(*Bs)]
-    ysol = _exact_solve_square(Bt, [[cost[c] for c in struct]])
-    if ysol is None:
-        return None
-    return xsol[0], ysol[0]
 
 
 def _check(A, cost, b, slack_of, struct, tight, xs, ys):
@@ -255,8 +213,9 @@ def _certify(A, cost, b, ncols, basis, slack_cols):
 
     Basic slack columns are singletons, so the basis reduces to the tight
     rows (those whose slack is nonbasic) against the basic structural
-    columns.  Its candidate comes from rational reconstruction, or, if that
-    fails the check, from exact elimination.
+    columns.  Its candidate comes from rational reconstruction; if that
+    fails or the check rejects it, the caller falls back to the exact
+    simplex.
     """
     m = len(A)
     if any(col >= ncols for col in basis):
@@ -268,13 +227,10 @@ def _certify(A, cost, b, ncols, basis, slack_cols):
     tight = [r for r in range(m) if r not in slack_of]
     if len(tight) != len(struct):
         return None
-    for candidate in (_reconstructed, _eliminated):
-        cand = candidate(A, cost, b, struct, tight)
-        if cand is not None:
-            result = _check(A, cost, b, slack_of, struct, tight, *cand)
-            if result is not None:
-                return result
-    return None
+    cand = _reconstructed(A, cost, b, struct, tight)
+    if cand is None:
+        return None
+    return _check(A, cost, b, slack_of, struct, tight, *cand)
 
 
 def _exact_simplex(A, cost, b, ncols):
