@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -19,22 +18,26 @@ from .cutlp import (CutConstraint, LpInfeasibleError, check_feasible, solve_lp,
                     verify_vertex)
 from .exact import DEFAULT_IP_EDGE_CAP, gap, solve_ip
 from .gadget import gadget_tight_family, pcst_gadget_instance
-from .graph import GraphError
-from .instance import (InstanceError, ScaleCapError, make_base, read_frac_solution,
-                       read_instance, write_frac_solution, write_instance,
-                       write_instance_json)
+from .instance import (InstanceError, PcsfInstance, ScaleCapError, make_base,
+                       read_frac_solution, read_instance, write_frac_solution,
+                       write_instance, write_instance_json)
 from .layered import build_layered, canonical_point, layered_instance
-from .rational import format_rational, parse_rational, rational_json
+from .rational import format_rational, parse_rational, rational_json, read_records
 from .rounding import (RoundingBoundError, best_threshold_round, threshold_round,
-                       two_value_round)
+                       two_value_gamma, two_value_round)
 from .simplex import LpInfeasible
 
-
-def _edge_cap(args):
-    cap = getattr(args, "edge_cap", None)
-    if cap is not None:
-        return cap
-    return int(os.environ.get("PCSF_EDGE_CAP", DEFAULT_IP_EDGE_CAP))
+# exception type -> (exit code, error type on stderr), matched in this order;
+# InstanceError and GraphError are ValueErrors
+EXIT_CODES = {
+    ScaleCapError: (3, "scale_cap"),
+    LpInfeasibleError: (4, "infeasible"),
+    LpInfeasible: (4, "infeasible"),
+    dec.DecompositionError: (4, "infeasible"),
+    RoundingBoundError: (5, "guarantee"),
+    ValueError: (2, "validation"),
+    OSError: (2, "validation"),
+}
 
 
 def _emit(doc):
@@ -57,13 +60,11 @@ def _solution_doc(sol):
 
 def _cmd_gen(args):
     if args.what == "layered":
-        base = make_base(args.base, path=args.base_file)
-        lc = build_layered(base, args.m, args.k)
+        lc = _layered_from_args(args)
         inst = layered_instance(lc)
         _write_inst(inst, args.output, args.json)
         if args.point:
-            mode = args.point_mode
-            write_frac_solution(canonical_point(lc, mode), args.point)
+            write_frac_solution(canonical_point(lc, args.point_mode), args.point)
         _emit({"nodes": lc.graph.num_nodes, "edges": lc.graph.num_edges,
                "pairs": inst.num_pairs, "n": lc.n, "l": lc.l, "m": lc.m, "k": lc.k})
     elif args.what == "gadget":
@@ -75,7 +76,6 @@ def _cmd_gen(args):
                "pairs": inst.num_pairs, "k": args.k})
     else:  # base
         base = make_base(args.base, path=args.base_file)
-        from .instance import PcsfInstance
         inst = PcsfInstance(base, {e: Fraction(1) for e in range(base.num_edges)}, [], {})
         _write_inst(inst, args.output, args.json)
         _emit({"nodes": base.num_nodes, "edges": base.num_edges,
@@ -99,23 +99,33 @@ def read_family(path, inst):
     `nonneg_z <pair>` lines; nodes given by name."""
     name_to_id = {n: i for i, n in enumerate(inst.node_names)}
     family = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "cut" and len(parts) >= 3:
-                side = frozenset(name_to_id[tok] for tok in parts[2:])
-                family.append(CutConstraint(pair=int(parts[1]), side=side))
-            elif parts[0] == "nonneg_x" and len(parts) == 2:
-                family.append(CutConstraint(pair=None, side=None, kind="nonneg_x",
-                                            edge=int(parts[1])))
-            elif parts[0] == "nonneg_z" and len(parts) == 2:
-                family.append(CutConstraint(pair=int(parts[1]), side=None, kind="nonneg_z"))
-            else:
-                raise InstanceError(f"{path}:{lineno}: malformed line: {line!r}")
+    for where, fields in read_records(path):
+        kind, rest = fields[0], fields[1:]
+        if kind == "cut" and len(rest) >= 2:
+            unknown = [tok for tok in rest[1:] if tok not in name_to_id]
+            if unknown:
+                raise InstanceError(f"{where}: unknown node {unknown[0]!r}")
+            side = frozenset(name_to_id[tok] for tok in rest[1:])
+            family.append(CutConstraint(pair=int(rest[0]), side=side))
+        elif kind == "nonneg_x" and len(rest) == 1:
+            family.append(CutConstraint(pair=None, side=None, kind=kind, edge=int(rest[0])))
+        elif kind == "nonneg_z" and len(rest) == 1:
+            family.append(CutConstraint(pair=int(rest[0]), side=None, kind=kind))
+        else:
+            raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
     return family
+
+
+def _instance_and_point(args):
+    """The instance file and its point file; every point id must name an
+    edge or a pair of the instance."""
+    inst = read_instance(args.instance)
+    point = read_frac_solution(args.point)
+    unknown = ([f"x {e}" for e in point.x if not 0 <= e < inst.graph.num_edges]
+               + [f"z {i}" for i in point.z if not 0 <= i < inst.num_pairs])
+    if unknown:
+        raise InstanceError(f"{args.point}: ids outside the instance: {', '.join(unknown)}")
+    return inst, point
 
 
 def _cmd_lp(args):
@@ -128,8 +138,7 @@ def _cmd_lp(args):
                "active_cuts": len(res.active_cuts)})
         return 0
     if args.what == "check":
-        inst = read_instance(args.instance)
-        point = read_frac_solution(args.point)
+        inst, point = _instance_and_point(args)
         violated = check_feasible(inst, point)
         doc = {"feasible": violated is None}
         if violated is not None:
@@ -143,8 +152,9 @@ def _cmd_lp(args):
         inst, point = pcst_gadget_instance(args.gadget_k)
         family = gadget_tight_family(inst, args.gadget_k)
     else:
-        inst = read_instance(args.instance)
-        point = read_frac_solution(args.point)
+        if None in (args.instance, args.point, args.family):
+            raise InstanceError("give --gadget-k, or an instance, --point and --family")
+        inst, point = _instance_and_point(args)
         family = read_family(args.family, inst)
     report = verify_vertex(inst, point, family)
     max_coord = max(list(point.x.values()) + list(point.z.values()))
@@ -160,7 +170,7 @@ def _cmd_lp(args):
 
 def _cmd_ip(args):
     inst = read_instance(args.instance)
-    sol = solve_ip(inst, edge_cap=_edge_cap(args))
+    sol = solve_ip(inst, edge_cap=args.edge_cap)
     _emit(_solution_doc(sol))
     return 0
 
@@ -168,27 +178,22 @@ def _cmd_ip(args):
 # --- round --------------------------------------------------------------
 
 def _cmd_round(args):
-    inst = read_instance(args.instance)
-    point = read_frac_solution(args.point)
+    inst, point = _instance_and_point(args)
     base_value = inst.objective(point.x, point.z)
-    if args.method == "threshold":
-        theta = parse_rational(args.theta)
-        sol = threshold_round(inst, point, theta)
-        factor = max(Fraction(2) / (1 - theta), Fraction(1) / theta)
-        extra = {"theta": rational_json(theta)}
-    elif args.method == "best":
-        sol, theta = best_threshold_round(inst, point)
-        factor = max(Fraction(2) / (1 - theta), Fraction(1) / theta)
-        extra = {"theta": rational_json(theta)}
-    else:  # two-value
+    if args.method == "two-value":
         p = parse_rational(args.p)
         sol = two_value_round(inst, point, p)
-        gamma = sorted({v for v in point.z.values() if v != 0})[0]
-        factor = max((2 - 2 * p * gamma) / (1 - gamma), p / gamma)
-        extra = {"p": rational_json(p), "gamma": rational_json(gamma)}
+        extra = {"p": rational_json(p), "gamma": rational_json(two_value_gamma(point))}
+    else:
+        if args.method == "threshold":
+            theta = parse_rational(args.theta)
+            sol = threshold_round(inst, point, theta)
+        else:
+            sol, theta = best_threshold_round(inst, point)
+        extra = {"theta": rational_json(theta)}
     doc = _solution_doc(sol)
     doc.update(extra)
-    doc["ratio_bound"] = rational_json(factor)
+    doc["ratio_bound"] = rational_json(sol.ratio_bound)
     doc["point_value"] = rational_json(base_value)
     if base_value > 0:
         doc["observed_ratio"] = rational_json(sol.objective / base_value)
@@ -199,29 +204,24 @@ def _cmd_round(args):
 # --- decompose ----------------------------------------------------------
 
 def _layered_from_args(args):
-    base = make_base(args.base, path=getattr(args, "base_file", None))
-    return build_layered(base, args.m, args.k)
+    return build_layered(make_base(args.base, path=args.base_file), args.m, args.k)
 
 
 def _cmd_decompose(args):
     if args.what in ("min-alpha", "min-beta"):
-        inst = read_instance(args.instance)
-        point = read_frac_solution(args.point)
+        inst, point = _instance_and_point(args)
         fn = dec.min_alpha if args.what == "min-alpha" else dec.min_beta
-        value, dist, witness = fn(inst, point, method=args.method,
-                                  edge_cap=_edge_cap(args))
+        value, dist, witness = fn(inst, point, method=args.method, edge_cap=args.edge_cap)
         if args.output:
             dec.write_distribution(dist, args.output)
-        witness_written = False
         if args.witness:
             mode = "gap" if args.what == "min-alpha" else "lmp"
             winst = dec.witness_costs_from_dual(witness, mode=mode,
                                                 beta=value if mode == "lmp" else None)
             write_instance(winst, args.witness)
-            witness_written = True
         key = "alpha_star" if args.what == "min-alpha" else "beta_star"
         _emit({key: rational_json(value), "support": len(dist.entries),
-               "witness_written": witness_written})
+               "witness_written": bool(args.witness)})
         return 0
     if args.what == "explicit":
         lc = _layered_from_args(args)
@@ -313,12 +313,14 @@ def build_parser():
                                   description="Prize-collecting Steiner forest LP toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
+    layered = argparse.ArgumentParser(add_help=False)
+    layered.add_argument("--base", default="k4")
+    layered.add_argument("--base-file")
+    layered.add_argument("--m", type=int, default=4)
+    layered.add_argument("--k", type=int, default=0)
+
     gen = sub.add_parser("gen").add_subparsers(dest="what", required=True)
-    g = gen.add_parser("layered")
-    g.add_argument("--base", default="k4")
-    g.add_argument("--base-file")
-    g.add_argument("--m", type=int, default=4)
-    g.add_argument("--k", type=int, default=0)
+    g = gen.add_parser("layered", parents=[layered])
     g.add_argument("--point", help="write the canonical point here")
     g.add_argument("--point-mode", default="gap", choices=["gap", "lmp"])
     g.add_argument("-o", "--output")
@@ -357,7 +359,7 @@ def build_parser():
     ipsub = p.add_subparsers(dest="what", required=True)
     p = ipsub.add_parser("solve")
     p.add_argument("instance")
-    p.add_argument("--edge-cap", type=int)
+    p.add_argument("--edge-cap", type=int, default=DEFAULT_IP_EDGE_CAP)
     p.set_defaults(func=_cmd_ip)
 
     p = sub.add_parser("round")
@@ -375,33 +377,21 @@ def build_parser():
         p.add_argument("instance")
         p.add_argument("--point", required=True)
         p.add_argument("--method", default="cg", choices=["cg", "enumerate"])
-        p.add_argument("--edge-cap", type=int)
+        p.add_argument("--edge-cap", type=int, default=DEFAULT_IP_EDGE_CAP)
         p.add_argument("-o", "--output")
         p.add_argument("--witness", help="write the dual witness instance here")
         p.set_defaults(func=_cmd_decompose)
-    p = d.add_parser("explicit")
-    p.add_argument("--base", default="k4")
-    p.add_argument("--base-file")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--k", type=int, default=0)
+    p = d.add_parser("explicit", parents=[layered])
     p.add_argument("--alpha", default="9/4")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_decompose)
-    p = d.add_parser("verify")
-    p.add_argument("--base", default="k4")
-    p.add_argument("--base-file")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--k", type=int, default=0)
+    p = d.add_parser("verify", parents=[layered])
     p.add_argument("--mode", default="gap", choices=["gap", "lmp"])
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--dist", required=True)
     p.set_defaults(func=_cmd_decompose)
-    p = d.add_parser("trace")
-    p.add_argument("--base", default="k4")
-    p.add_argument("--base-file")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--k", type=int, default=0)
+    p = d.add_parser("trace", parents=[layered])
     p.add_argument("--alpha", default="9/4")
     p.add_argument("--dist", required=True)
     p.set_defaults(func=_cmd_decompose)
@@ -432,22 +422,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScaleCapError as exc:
-        json.dump({"error": str(exc), "type": "scale_cap"}, sys.stderr)
+    except tuple(EXIT_CODES) as exc:
+        code, kind = next(v for t, v in EXIT_CODES.items() if isinstance(exc, t))
+        json.dump({"error": str(exc), "type": kind}, sys.stderr)
         sys.stderr.write("\n")
-        return 3
-    except (LpInfeasibleError, LpInfeasible, dec.DecompositionError) as exc:
-        json.dump({"error": str(exc), "type": "infeasible"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 4
-    except RoundingBoundError as exc:
-        json.dump({"error": str(exc), "type": "guarantee"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 5
-    except (InstanceError, GraphError, ValueError, OSError) as exc:
-        json.dump({"error": str(exc), "type": "validation"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return code
 
 
 if __name__ == "__main__":

@@ -35,18 +35,17 @@ class CutConstraint:
     edge: int | None = None
 
     def validate(self, inst: PcsfInstance):
-        if self.kind == "cut":
+        if self.kind not in ("cut", "nonneg_x", "nonneg_z"):
+            raise InstanceError(f"unknown constraint kind {self.kind!r}")
+        if self.kind == "nonneg_x":
+            if not (0 <= self.edge < inst.graph.num_edges):
+                raise InstanceError(f"unknown edge {self.edge}")
+        elif not (0 <= self.pair < inst.num_pairs):
+            raise InstanceError(f"unknown pair {self.pair}")
+        elif self.kind == "cut":
             s, t = inst.pairs[self.pair]
             if (s in self.side) == (t in self.side):
                 raise InstanceError(f"cut side does not separate pair {self.pair}")
-        elif self.kind == "nonneg_x":
-            if not (0 <= self.edge < inst.graph.num_edges):
-                raise InstanceError(f"unknown edge {self.edge}")
-        elif self.kind == "nonneg_z":
-            if not (0 <= self.pair < inst.num_pairs):
-                raise InstanceError(f"unknown pair {self.pair}")
-        else:
-            raise InstanceError(f"unknown constraint kind {self.kind!r}")
 
 
 @dataclass

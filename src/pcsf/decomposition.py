@@ -18,7 +18,7 @@ from .graph import (Graph, GraphError, component_labels, is_forest, minimum_span
                     spanning_forest)
 from .instance import FracSolution, InstanceError, PcsfInstance, regular_degree
 from .layered import LayeredConstruction, canonical_point, layered_pairs
-from .rational import INF, format_rational, parse_rational, rational_json
+from .rational import INF, format_rational, parse_rational, rational_json, read_records
 
 
 class DecompositionError(RuntimeError):
@@ -39,6 +39,9 @@ class ForestDistribution:
     def validate(self, graph: Graph):
         total = Fraction(0)
         for forest, weight in self.entries:
+            unknown = sorted(e for e in forest if not 0 <= e < graph.num_edges)
+            if unknown:
+                raise InstanceError(f"distribution names edges outside the graph: {unknown}")
             if weight < 0:
                 raise DecompositionError("negative weight in distribution")
             if not is_forest(graph, forest):
@@ -88,24 +91,14 @@ def write_distribution(dist: ForestDistribution, path):
 
 def read_distribution(path) -> ForestDistribution:
     entries = []
-    current = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "forest" and len(parts) == 2:
-                if current is not None:
-                    entries.append(current)
-                current = (set(), parse_rational(parts[1]))
-            elif parts[0] == "e" and len(parts) == 2 and current is not None:
-                current[0].add(int(parts[1]))
-            else:
-                raise InstanceError(f"{path}:{lineno}: malformed line: {line!r}")
-    if current is not None:
-        entries.append(current)
-    return ForestDistribution([(frozenset(f), w) for f, w in entries])
+    for where, fields in read_records(path):
+        if fields[0] == "forest" and len(fields) == 2:
+            entries.append((set(), parse_rational(fields[1])))
+        elif fields[0] == "e" and len(fields) == 2 and entries:
+            entries[-1][0].add(int(fields[1]))
+        else:
+            raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
+    return ForestDistribution(entries)
 
 
 @dataclass
@@ -603,6 +596,7 @@ def chain_trace(lc: LayeredConstruction, dist: ForestDistribution, alpha):
     the marginal premises is a counterexample, not an error.
     """
     alpha = Fraction(alpha)
+    dist.validate(lc.graph)
     dist = trim_support(lc, dist)
     labels = {forest: component_labels(lc.graph, forest) for forest, _ in dist.entries}
     r0 = lc.r0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph, GraphError
-from .rational import Infinite, format_rational, parse_penalty, parse_rational
+from .rational import Infinite, format_rational, parse_penalty, parse_rational, read_records
 
 
 class InstanceError(ValueError):
@@ -117,43 +117,33 @@ def write_instance(inst: PcsfInstance, path):
                      f"{format_rational(inst.penalties[i])}\n")
 
 
+def _build_instance(records) -> PcsfInstance:
+    """Instance from ``(where, [kind, u, v, value])`` records in file order,
+    kind ``edge`` (value a cost) or ``pair`` (value a penalty); nodes are
+    named by strings and numbered by first appearance."""
+    ids = {}
+    edges, costs, pairs, penalties = [], {}, [], {}
+    for where, fields in records:
+        if fields[0] not in ("edge", "pair") or len(fields) != 4:
+            raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
+        kind, u, v, value = fields
+        u, v = ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))
+        if kind == "edge":
+            costs[len(edges)] = parse_rational(value)
+            edges.append((u, v))
+        else:
+            penalties[len(pairs)] = parse_penalty(value)
+            pairs.append((u, v))
+    return PcsfInstance(Graph(len(ids), edges), costs, pairs, penalties,
+                        node_names=list(ids))
+
+
 def read_instance(path) -> PcsfInstance:
-    names = {}
-    order = []
-    raw_edges = []
-    raw_pairs = []
-
-    def node(tok):
-        if tok not in names:
-            names[tok] = len(order)
-            order.append(tok)
-        return names[tok]
-
-    with open(path) as fh:
-        header = None
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if header is None:
-                if parts != ["pcsf", "1"]:
-                    raise InstanceError(f"{path}:{lineno}: expected 'pcsf 1' header")
-                header = parts
-                continue
-            if parts[0] == "edge" and len(parts) == 4:
-                raw_edges.append((node(parts[1]), node(parts[2]), parse_rational(parts[3])))
-            elif parts[0] == "pair" and len(parts) == 4:
-                raw_pairs.append((node(parts[1]), node(parts[2]), parse_penalty(parts[3])))
-            else:
-                raise InstanceError(f"{path}:{lineno}: malformed line: {line!r}")
-    if header is None:
-        raise InstanceError(f"{path}: missing 'pcsf 1' header")
-    g = Graph(len(order), [(u, v) for u, v, _ in raw_edges])
-    costs = {eid: c for eid, (_, _, c) in enumerate(raw_edges)}
-    pairs = [(s, t) for s, t, _ in raw_pairs]
-    penalties = {i: p for i, (_, _, p) in enumerate(raw_pairs)}
-    return PcsfInstance(g, costs, pairs, penalties, node_names=order)
+    records = read_records(path)
+    where, header = next(records, (str(path), None))
+    if header != ["pcsf", "1"]:
+        raise InstanceError(f"{where}: expected 'pcsf 1' header")
+    return _build_instance(records)
 
 
 def write_instance_json(inst: PcsfInstance, path):
@@ -177,28 +167,9 @@ def write_instance_json(inst: PcsfInstance, path):
 def read_instance_json(path) -> PcsfInstance:
     with open(path) as fh:
         doc = json.load(fh)
-    names = {}
-    order = []
-
-    def node(tok):
-        tok = str(tok)
-        if tok not in names:
-            names[tok] = len(order)
-            order.append(tok)
-        return names[tok]
-
-    raw_edges = [(node(e["u"]), node(e["v"]), parse_rational(str(e["cost"])))
-                 for e in doc["edges"]]
-    raw_pairs = [(node(p["s"]), node(p["t"]), parse_penalty(str(p["penalty"])))
-                 for p in doc["pairs"]]
-    g = Graph(len(order), [(u, v) for u, v, _ in raw_edges])
-    return PcsfInstance(
-        g,
-        {eid: c for eid, (_, _, c) in enumerate(raw_edges)},
-        [(s, t) for s, t, _ in raw_pairs],
-        {i: p for i, (_, _, p) in enumerate(raw_pairs)},
-        node_names=order,
-    )
+    return _build_instance(
+        [(path, ["edge", str(e["u"]), str(e["v"]), str(e["cost"])]) for e in doc["edges"]]
+        + [(path, ["pair", str(p["s"]), str(p["t"]), str(p["penalty"])]) for p in doc["pairs"]])
 
 
 def write_frac_solution(sol: FracSolution, path):
@@ -211,20 +182,14 @@ def write_frac_solution(sol: FracSolution, path):
 
 def read_frac_solution(path) -> FracSolution:
     sol = FracSolution()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("x", "z"):
-                raise InstanceError(f"{path}:{lineno}: malformed line: {line!r}")
-            idx = int(parts[1])
-            val = parse_rational(parts[2])
-            if parts[0] == "x":
-                sol.x[idx] = val
-            else:
-                sol.z[idx] = val
+    for where, fields in read_records(path):
+        if len(fields) != 3 or fields[0] not in ("x", "z"):
+            raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
+        values = sol.x if fields[0] == "x" else sol.z
+        idx = int(fields[1])
+        if idx in values:
+            raise InstanceError(f"{where}: second value for {fields[0]} {idx}")
+        values[idx] = parse_rational(fields[2])
     return sol
 
 
@@ -267,6 +232,8 @@ def make_base(kind: str, path=None) -> Graph:
     else:
         raise InstanceError(f"unknown base kind: {kind!r}")
 
+    if g.num_nodes == 0:
+        raise InstanceError("base graph has no nodes")
     degree = g.degree(0)
     for node in range(g.num_nodes):
         if g.degree(node) != degree:

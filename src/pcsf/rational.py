@@ -1,4 +1,5 @@
-"""Exact rational parsing/formatting shared by the file formats and the CLI."""
+"""Exact rational parsing/formatting and the line grammar shared by the text
+file formats and the CLI."""
 
 from __future__ import annotations
 
@@ -28,13 +29,28 @@ class Infinite:
 INF = Infinite()
 
 
+def read_records(path):
+    """Yield ``("path:lineno", fields)`` for each line of a text file that
+    holds anything once its ``#`` comment is stripped; fields are split on
+    whitespace."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                yield f"{path}:{lineno}", fields
+
+
 def parse_rational(token: str) -> Fraction:
-    """Parse ``a/b`` or a decimal literal into an exact Fraction."""
+    """Parse ``a/b`` or a decimal literal into an exact Fraction; a zero
+    denominator is a ValueError like any other malformed token."""
     token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(token)
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 def parse_penalty(token: str):

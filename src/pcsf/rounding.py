@@ -22,6 +22,7 @@ class IntegralSolution:
     cost: Fraction
     penalty: Fraction
     objective: Fraction | None   # None when an infinite-penalty pair is cut off
+    ratio_bound: Fraction | None = None  # the proven ratio a rounding checked it against
 
     def lmp_objective(self, beta) -> Fraction | None:
         if self.objective is None:
@@ -106,8 +107,16 @@ def gw_steiner_forest(inst: PcsfInstance, required) -> set:
     return set(forest)
 
 
-def _point_value(inst: PcsfInstance, point: FracSolution) -> Fraction:
-    return inst.objective(point.x, point.z)
+def _guaranteed(name, sol: IntegralSolution, factor, inst: PcsfInstance,
+                point: FracSolution) -> IntegralSolution:
+    """``sol`` with ``ratio_bound`` set to ``factor``, once its objective is
+    checked to be at most ``factor`` times the point's value."""
+    bound = factor * inst.objective(point.x, point.z)
+    if sol.objective is None or sol.objective > bound:
+        raise RoundingBoundError(
+            f"{name} rounding exceeded its guarantee: {sol.objective} > {bound}")
+    sol.ratio_bound = factor
+    return sol
 
 
 def threshold_round(inst: PcsfInstance, point: FracSolution, theta=Fraction(1, 3)) -> IntegralSolution:
@@ -124,14 +133,8 @@ def threshold_round(inst: PcsfInstance, point: FracSolution, theta=Fraction(1, 3
         raise InstanceError(f"point is infeasible: {violated}")
     required = {i for i in range(inst.num_pairs)
                 if point.z.get(i, Fraction(0)) < theta}
-    forest = gw_steiner_forest(inst, required)
-    sol = forest_solution(inst, forest)
-    factor = max(Fraction(2) / (1 - theta), Fraction(1) / theta)
-    bound = factor * _point_value(inst, point)
-    if sol.objective is None or sol.objective > bound:
-        raise RoundingBoundError(
-            f"threshold rounding exceeded its guarantee: {sol.objective} > {bound}")
-    return sol
+    sol = forest_solution(inst, gw_steiner_forest(inst, required))
+    return _guaranteed("threshold", sol, max(2 / (1 - theta), 1 / theta), inst, point)
 
 
 def best_threshold_round(inst: PcsfInstance, point: FracSolution):
@@ -157,24 +160,24 @@ def two_value_round(inst: PcsfInstance, point: FracSolution, p) -> IntegralSolut
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise InstanceError("mixing weight p must lie in [0, 1]")
+    gamma = two_value_gamma(point)
+    zero_pairs = {i for i in range(inst.num_pairs) if point.z.get(i, Fraction(0)) == 0}
+    pay = forest_solution(inst, gw_steiner_forest(inst, zero_pairs))
+    connect = forest_solution(inst, gw_steiner_forest(inst, range(inst.num_pairs)))
+    sol = pay if pay.objective <= connect.objective else connect
+    return _guaranteed("two-value", sol, max((2 - 2 * p * gamma) / (1 - gamma), p / gamma),
+                       inst, point)
+
+
+def two_value_gamma(point: FracSolution) -> Fraction:
+    """The one nonzero value gamma of a two-valued point, 0 < gamma < 1/2."""
     values = {v for v in point.z.values() if v != 0}
     if len(values) != 1:
         raise InstanceError("point is not two-valued: z must take values {0, gamma}")
     gamma = values.pop()
     if not 0 < gamma < Fraction(1, 2):
         raise InstanceError("two-value rounding needs 0 < gamma < 1/2")
-
-    zero_pairs = {i for i in range(inst.num_pairs) if point.z.get(i, Fraction(0)) == 0}
-    pay = forest_solution(inst, gw_steiner_forest(inst, zero_pairs))
-    connect = forest_solution(inst, gw_steiner_forest(inst, range(inst.num_pairs)))
-    sol = pay if pay.objective <= connect.objective else connect
-
-    factor = max((2 - 2 * p * gamma) / (1 - gamma), p / gamma)
-    bound = factor * _point_value(inst, point)
-    if sol.objective is None or sol.objective > bound:
-        raise RoundingBoundError(
-            f"two-value rounding exceeded its guarantee: {sol.objective} > {bound}")
-    return sol
+    return gamma
 
 
 def mu_bound(gamma):

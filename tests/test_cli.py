@@ -107,6 +107,7 @@ def test_round(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["theta"]["exact"] == "1/3"
     assert doc["objective"] is not None
+    assert doc["ratio_bound"]["exact"] == "3"
 
 
 def test_decompose_min_alpha_with_witness(tmp_path, capsys):

@@ -38,3 +38,36 @@ def test_no_unused_imports_in_src():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, f"unused imports in src: {found}"
+
+
+def _opens_for_reading(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return True
+    # a mode that is not a literal counts as reading
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) & set("wax"))
+
+
+def test_files_are_read_only_by_the_shared_readers():
+    # every text format goes through rational.read_records, which owns the
+    # line grammar; the JSON instance reader is the one other reader
+    readers = {"read_records", "read_instance_json"}
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _opens_for_reading(child) and function not in readers:
+                found.append(f"{path.name}:{child.lineno} in {function}")
+            visit(child, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    assert not found, f"files opened for reading outside the shared readers: {found}"

@@ -10,7 +10,7 @@ from pcsf.rational import INF
 from pcsf import rounding
 from pcsf.rounding import (RoundingBoundError, best_threshold_round, evaluate,
                            forest_solution, gw_steiner_forest, mu_bound,
-                           threshold_round, two_value_round)
+                           threshold_round, two_value_gamma, two_value_round)
 
 
 def triangle_instance(penalty=Fraction(1)):
@@ -87,6 +87,7 @@ def test_threshold_round_guarantee():
     res = solve_lp(inst)
     sol = threshold_round(inst, res.solution)
     assert sol.objective <= 3 * res.value
+    assert sol.ratio_bound == 3  # max(2/(1 - 1/3), 1/(1/3))
 
 
 def test_threshold_round_rejects_bad_input():
@@ -105,6 +106,7 @@ def test_best_threshold_round():
     sol, theta = best_threshold_round(inst, point)
     assert sol.objective is not None
     assert theta in {Fraction(1, 3), Fraction(1, 2)}
+    assert sol.ratio_bound == max(2 / (1 - theta), 1 / theta)
 
 
 def test_two_value_round():
@@ -117,6 +119,7 @@ def test_two_value_round():
     sol = two_value_round(inst, point, Fraction(3, 4))
     value = inst.objective(point.x, point.z)
     assert sol.objective <= Fraction(9, 4) * value
+    assert sol.ratio_bound == Fraction(9, 4) and two_value_gamma(point) == Fraction(1, 3)
 
 
 def test_two_value_round_validation():
