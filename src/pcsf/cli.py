@@ -22,7 +22,7 @@ from .instance import (InstanceError, PcsfInstance, ScaleCapError, make_base,
                        read_frac_solution, read_instance, write_frac_solution,
                        write_instance, write_instance_json)
 from .layered import build_layered, canonical_point, layered_instance
-from .rational import format_rational, parse_rational, rational_json, read_records
+from .rational import format_rational, parse_field, parse_rational, rational_json, read_records
 from .rounding import (RoundingBoundError, best_threshold_round, threshold_round,
                        two_value_gamma, two_value_round)
 from .simplex import LpInfeasible
@@ -106,11 +106,13 @@ def read_family(path, inst):
             if unknown:
                 raise InstanceError(f"{where}: unknown node {unknown[0]!r}")
             side = frozenset(name_to_id[tok] for tok in rest[1:])
-            family.append(CutConstraint(pair=int(rest[0]), side=side))
+            family.append(CutConstraint(pair=parse_field(where, int, rest[0]), side=side))
         elif kind == "nonneg_x" and len(rest) == 1:
-            family.append(CutConstraint(pair=None, side=None, kind=kind, edge=int(rest[0])))
+            family.append(CutConstraint(pair=None, side=None, kind=kind,
+                                        edge=parse_field(where, int, rest[0])))
         elif kind == "nonneg_z" and len(rest) == 1:
-            family.append(CutConstraint(pair=int(rest[0]), side=None, kind=kind))
+            family.append(CutConstraint(pair=parse_field(where, int, rest[0]), side=None,
+                                        kind=kind))
         else:
             raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
     return family

@@ -177,7 +177,7 @@ def solve_lp(inst: PcsfInstance) -> LpResult:
     return solve_cut_lp(inst)
 
 
-def matrix_rank_exact(rows, ncols: int) -> int:
+def matrix_rank_exact(rows) -> int:
     """Rank over the rationals by Gaussian elimination on sparse dict rows."""
     work = [dict(r) for r in rows]
     rank = 0
@@ -258,7 +258,7 @@ def verify_vertex(inst: PcsfInstance, point: FracSolution, family) -> VertexRepo
         rows.append(row)
 
     dimension = m + inst.num_pairs
-    rank = matrix_rank_exact(rows, dimension)
+    rank = matrix_rank_exact(rows)
     unique = all_tight and rank == dimension
     return VertexReport(is_feasible=feasible, all_tight=all_tight, unique=unique,
                         rank=rank, dimension=dimension, failures=failures)

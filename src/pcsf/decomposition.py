@@ -18,7 +18,8 @@ from .graph import (Graph, GraphError, component_labels, is_forest, minimum_span
                     spanning_forest)
 from .instance import FracSolution, InstanceError, PcsfInstance, regular_degree
 from .layered import LayeredConstruction, canonical_point, layered_pairs
-from .rational import INF, format_rational, parse_rational, rational_json, read_records
+from .rational import (INF, format_rational, parse_field, parse_rational, rational_json,
+                       read_records)
 
 
 class DecompositionError(RuntimeError):
@@ -43,12 +44,12 @@ class ForestDistribution:
             if unknown:
                 raise InstanceError(f"distribution names edges outside the graph: {unknown}")
             if weight < 0:
-                raise DecompositionError("negative weight in distribution")
+                raise InstanceError("negative weight in distribution")
             if not is_forest(graph, forest):
-                raise DecompositionError("support set contains a cycle")
+                raise InstanceError("support set contains a cycle")
             total += weight
         if total != 1:
-            raise DecompositionError(f"weights sum to {total}, not 1")
+            raise InstanceError(f"weights sum to {total}, not 1")
 
     def support(self):
         return [forest for forest, _ in self.entries]
@@ -93,9 +94,9 @@ def read_distribution(path) -> ForestDistribution:
     entries = []
     for where, fields in read_records(path):
         if fields[0] == "forest" and len(fields) == 2:
-            entries.append((set(), parse_rational(fields[1])))
+            entries.append((set(), parse_field(where, parse_rational, fields[1])))
         elif fields[0] == "e" and len(fields) == 2 and entries:
-            entries[-1][0].add(int(fields[1]))
+            entries[-1][0].add(parse_field(where, int, fields[1]))
         else:
             raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
     return ForestDistribution(entries)
@@ -106,15 +107,13 @@ class DualWitness:
     """Optimal dual of the decomposition LP: prices (d, rho) and level gamma.
 
     Every integral solution of the priced instance costs at least
-    ``gamma_dual``; ``value`` is the primal optimum it certifies.
+    ``gamma_dual``.
     """
 
     d: dict
     rho: dict
     gamma_dual: Fraction
-    value: Fraction
     inst: PcsfInstance
-    point: FracSolution
     zero_edges: frozenset      # edges with x* = 0, excluded from pricing
     forced_pairs: frozenset    # pairs with target z = 0, priced as must-connect
 
@@ -128,8 +127,6 @@ class DistributionReport:
     passes: bool
     edge_failures: list = field(default_factory=list)
     pair_failures: list = field(default_factory=list)
-    worst_edge_ratio: Fraction = None
-    worst_pair_slack: Fraction = None
 
     def to_json(self):
         return {
@@ -153,13 +150,12 @@ def verify_distribution(subject, dist: ForestDistribution, scale, mode: str,
     Pr[u ~ v] >= 1 - alpha*z_uv.  lmp mode (scale beta):
     Pr[e in F] <= beta*x_e and Pr[u ~ v] >= 1 - z_uv.
     """
+    graph = subject.graph
     if isinstance(subject, LayeredConstruction):
-        graph = subject.graph
         pairs = layered_pairs(subject)
         if point is None:
             point = canonical_point(subject, mode)
     else:
-        graph = subject.graph
         pairs = subject.pairs
         if point is None:
             raise InstanceError("verify_distribution on an instance needs a point")
@@ -172,35 +168,23 @@ def verify_distribution(subject, dist: ForestDistribution, scale, mode: str,
     pair_probs = dist.pair_probs(graph, pairs)
 
     edge_failures = []
-    worst_edge_ratio = Fraction(0)
     for e in range(graph.num_edges):
         have = marginals.get(e, Fraction(0))
         want = scale * point.x.get(e, Fraction(0))
-        if want > 0:
-            ratio = have / want
-            if ratio > worst_edge_ratio:
-                worst_edge_ratio = ratio
         if have > want:
             edge_failures.append((e, have, want))
 
     pair_failures = []
-    worst_pair_slack = None
     for i in range(len(pairs)):
         zi = point.z.get(i, Fraction(0))
         want = 1 - (scale * zi if mode == "gap" else zi)
-        have = pair_probs[i]
-        slack = have - want
-        if worst_pair_slack is None or slack < worst_pair_slack:
-            worst_pair_slack = slack
-        if have < want:
-            pair_failures.append((i, have, want))
+        if pair_probs[i] < want:
+            pair_failures.append((i, pair_probs[i], want))
 
     return DistributionReport(mode=mode, scale=scale, marginals=marginals,
                               pair_probs=pair_probs,
                               passes=not edge_failures and not pair_failures,
-                              edge_failures=edge_failures, pair_failures=pair_failures,
-                              worst_edge_ratio=worst_edge_ratio,
-                              worst_pair_slack=worst_pair_slack)
+                              edge_failures=edge_failures, pair_failures=pair_failures)
 
 
 # --- spanning-tree decomposition of the base graph ----------------------
@@ -210,42 +194,36 @@ def spanning_tree_decomposition(P: Graph) -> ForestDistribution:
 
     For a d-regular P the uniform target vector sums to n-1, so it lies in
     the spanning tree polytope; the uniform distribution is used when it
-    already meets the target, otherwise the covering LP is solved by
-    column generation with minimum-spanning-tree pricing.
+    already meets the target, otherwise the unscaled dominance LP of
+    ``_dominance_master`` is solved by column generation with
+    minimum-spanning-tree pricing (its row sum(lambda) <= 1 is redundant
+    here: every tree has n-1 edges and the targets sum to n-1).
     """
     n = P.num_nodes
     target = Fraction(2 * (n - 1), regular_degree(P) * n)
 
     if P.num_edges <= ENUM_EDGE_CAP:
         trees = [t for t in enumerate_forests(P) if len(t) == n - 1]
-        count = {}
-        for t in trees:
-            for e in t:
-                count[e] = count.get(e, 0) + 1
         # with no tree at all, column generation's first spanning tree raises
-        if trees and all(Fraction(count.get(e, 0), len(trees)) <= target
-                         for e in range(P.num_edges)):
-            w = Fraction(1, len(trees))
-            return ForestDistribution([(frozenset(t), w) for t in trees])
+        if trees:
+            uniform = ForestDistribution([(t, Fraction(1, len(trees))) for t in trees])
+            if all(v <= target for v in uniform.edge_marginals().values()):
+                return uniform
 
-    # column generation on: max sum(lambda) s.t. marginal_e <= target
-    columns = [frozenset(minimum_spanning_tree(P, {e: Fraction(1) for e in range(P.num_edges)}))]
+    edges = range(P.num_edges)
+    targets = dict.fromkeys(edges, target)
+    tree = minimum_spanning_tree(P, dict.fromkeys(edges, Fraction(1)))
+    columns = []
     while True:
-        rows = []
-        for e in range(P.num_edges):
-            rows.append({q: Fraction(1) for q, t in enumerate(columns) if e in t})
-        senses = ["<="] * P.num_edges
-        rhs = [target] * P.num_edges
-        sol = simplex.solve_max(len(columns), [Fraction(1)] * len(columns),
-                                rows, senses, rhs)
-        prices = {e: sol.duals[e] for e in range(P.num_edges)}
-        tree = frozenset(minimum_spanning_tree(P, prices))
-        priced = sum(prices[e] for e in tree)
-        if priced >= 1:
-            if sol.objective != 1:
+        columns.append(Column(frozenset(tree), frozenset()))
+        value, weights, d, _, level = _dominance_master(columns, edges, targets, [],
+                                                        scaled=False, scale_z=False)
+        tree = minimum_spanning_tree(P, d)
+        if sum(d[e] for e in tree) >= level:
+            if value != 1:
                 raise GraphError("target marginals are not achievable")
-            return ForestDistribution([(t, w) for t, w in zip(columns, sol.x) if w > 0])
-        columns.append(tree)
+            return ForestDistribution([(col.forest, w) for col, w in zip(columns, weights)
+                                       if w > 0])
 
 
 # --- explicit distribution on the layered graph -------------------------
@@ -320,14 +298,12 @@ def _greedy_price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced):
     return value, Column(forest, frozenset(base_miss))
 
 
-def _price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced, pool, edge_cap,
-           cutoff=None):
+def _price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced, pool, edge_cap, cutoff):
     # a heuristic column priced below the cutoff is enough to keep the
     # column generation moving; the exact solve only certifies termination
-    if cutoff is not None:
-        value, col = _greedy_price(inst, sub, eplus, d, rho, forced)
-        if value < cutoff:
-            return value, col
+    value, col = _greedy_price(inst, sub, eplus, d, rho, forced)
+    if value < cutoff:
+        return value, col
     costs = {j: d.get(eplus[j], Fraction(0)) for j in range(sub.num_edges)}
     pens = {i: (INF if i in forced else rho.get(i, Fraction(0)))
             for i in range(inst.num_pairs)}
@@ -346,7 +322,8 @@ def _dominance_master(columns, eplus, x, zrows, scaled, scale_z):
 
     for every support edge e and every row (i, z_i) of ``zrows``.  Scaled:
     min s with sum lam = 1 (the alpha and beta LPs).  Unscaled: max sum lam
-    <= 1 (the feasibility LP), solved as min -sum lam.
+    <= 1 (the feasibility LP and the spanning-tree decomposition), solved as
+    min -sum lam.
 
     Returns (value, weights, d, rho, level): the optimal dual prices the
     edges by d and the rows' pairs by rho, and a column improves the LP iff
@@ -367,7 +344,8 @@ def _dominance_master(columns, eplus, x, zrows, scaled, scale_z):
     rhs.append(Fraction(1))
     senses = ["<="] * (len(rows) - 1) + ["=" if scaled else "<="]
     if scaled:
-        sol = simplex.solve_min(ncols + 1, {ncols: Fraction(1)}, rows, senses, rhs)
+        sol = simplex.solve_min(ncols + 1, [Fraction(0)] * ncols + [Fraction(1)],
+                                rows, senses, rhs)
     else:
         sol = simplex.solve_min(ncols, [Fraction(-1)] * ncols, rows, senses, rhs)
     d = {e: -sol.duals[r] for r, e in enumerate(eplus)}
@@ -379,8 +357,8 @@ def _dominance_master(columns, eplus, x, zrows, scaled, scale_z):
     return value, sol.x[:ncols], d, rho, level
 
 
-def _dominate(inst: PcsfInstance, point: FracSolution, x, z, scaled: bool,
-              scale_z: bool, method: str, edge_cap: int):
+def _dominate(inst: PcsfInstance, x, z, scaled: bool, scale_z: bool, method: str,
+              edge_cap: int):
     """Dominance LP of ``_dominance_master`` over the forests of supp(x),
     by column generation with exact pricing (or over every forest, with
     ``method="enumerate"``).  ``x`` and ``z`` give a target per edge and
@@ -415,8 +393,7 @@ def _dominate(inst: PcsfInstance, point: FracSolution, x, z, scaled: bool,
         while True:
             value, weights, d, rho, level = _dominance_master(columns, eplus, x, zrows,
                                                               scaled, scale_z)
-            priced, col = _price(inst, sub, eplus, d, rho, forced, pool, edge_cap,
-                                 cutoff=level)
+            priced, col = _price(inst, sub, eplus, d, rho, forced, pool, edge_cap, level)
             if priced >= level:
                 break
             columns.append(col)
@@ -424,10 +401,8 @@ def _dominate(inst: PcsfInstance, point: FracSolution, x, z, scaled: bool,
         raise InstanceError(f"unknown method {method!r}")
 
     dist = ForestDistribution([(col.forest, w) for col, w in zip(columns, weights) if w > 0])
-    support = set(eplus)
-    witness = DualWitness(d=d, rho=rho, gamma_dual=level, value=value, inst=inst, point=point,
-                          zero_edges=frozenset(e for e in range(inst.graph.num_edges)
-                                               if e not in support),
+    witness = DualWitness(d=d, rho=rho, gamma_dual=level, inst=inst,
+                          zero_edges=frozenset(range(inst.graph.num_edges)) - set(eplus),
                           forced_pairs=forced)
     return value, dist, witness
 
@@ -439,7 +414,7 @@ def _decompose_min(inst: PcsfInstance, point: FracSolution, scale_z: bool,
         raise InstanceError(f"point is infeasible: {violated}")
     x_star = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
     z_star = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
-    return _dominate(inst, point, x_star, z_star, scaled=True, scale_z=scale_z,
+    return _dominate(inst, x_star, z_star, scaled=True, scale_z=scale_z,
                      method=method, edge_cap=edge_cap)
 
 
@@ -464,12 +439,12 @@ class FeasibilityResult:
     witness: DualWitness | None
 
 
-def _feasibility(inst: PcsfInstance, x_target, z_target, point,
+def _feasibility(inst: PcsfInstance, x_target, z_target,
                  edge_cap: int = DEFAULT_IP_EDGE_CAP) -> FeasibilityResult:
     """Packing LP: max total weight of a sub-convex mixture dominated by
     (x_target, z_target); value 1 means a full distribution exists and the
     optimal dual is a certificate otherwise."""
-    value, dist, witness = _dominate(inst, point, x_target, z_target, scaled=False,
+    value, dist, witness = _dominate(inst, x_target, z_target, scaled=False,
                                      scale_z=False, method="cg", edge_cap=edge_cap)
     return FeasibilityResult(value=value, dist=dist if value == 1 else None, witness=witness)
 
@@ -483,7 +458,7 @@ def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta,
     x_target = {e: beta * point.x.get(e, Fraction(0))
                 for e in range(inst.graph.num_edges)}
     z_target = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
-    return _feasibility(inst, x_target, z_target, point, edge_cap=edge_cap)
+    return _feasibility(inst, x_target, z_target, edge_cap=edge_cap)
 
 
 def witness_costs_from_dual(w: DualWitness, mode: str = "gap", beta=None) -> PcsfInstance:
@@ -688,13 +663,12 @@ def two_value_lmp_distribution(inst: PcsfInstance, point: FracSolution,
     x = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
     z_zero = {i: (Fraction(0) if point.z.get(i, Fraction(0)) == 0 else Fraction(1))
               for i in range(inst.num_pairs)}
-    pay = _feasibility(inst, {e: 2 * v for e, v in x.items()}, z_zero, point,
-                       edge_cap=edge_cap)
+    pay = _feasibility(inst, {e: 2 * v for e, v in x.items()}, z_zero, edge_cap=edge_cap)
     if pay.dist is None:
         raise DecompositionError(
             f"no distribution under 2x connects the z=0 pairs (value {pay.value})")
     connect = _feasibility(inst, {e: 2 * v / (1 - gamma) for e, v in x.items()},
-                           {i: Fraction(0) for i in range(inst.num_pairs)}, point,
+                           {i: Fraction(0) for i in range(inst.num_pairs)},
                            edge_cap=edge_cap)
     if connect.dist is None:
         raise DecompositionError(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .cutlp import LpInfeasibleError, solve_cut_lp
 from .graph import component_labels, spanning_forest
-from .instance import InstanceError, PcsfInstance, ScaleCapError
+from .instance import PcsfInstance, ScaleCapError
 from .rounding import IntegralSolution, forest_solution
 
 DEFAULT_IP_EDGE_CAP = 40
@@ -145,10 +145,7 @@ def enumerate_ip(inst: PcsfInstance, edge_cap: int = ENUM_EDGE_CAP):
     best_value = None
     best_solutions = []
     for forest in enumerate_forests(inst.graph, edge_cap=edge_cap):
-        try:
-            sol = forest_solution(inst, set(forest))
-        except InstanceError:
-            continue
+        sol = forest_solution(inst, forest)
         if sol.objective is None:
             continue
         if best_value is None or sol.objective < best_value:

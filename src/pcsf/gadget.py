@@ -47,12 +47,7 @@ def pcst_gadget_instance(k: int):
     # a pair (v, r) for every node v != r; any positive penalties work here
     pairs = [(v, root) for v in range(1, num_nodes)]
     penalties = {i: Fraction(1) for i in range(len(pairs))}
-    meta = {
-        "construction": "pcst-gadget",
-        "k": k,
-        "wiring": "u1->s, u8->r, ring u9(j)->u4(j+1 mod k)",
-    }
-    inst = PcsfInstance(g, costs, pairs, penalties, node_names=names, meta=meta)
+    inst = PcsfInstance(g, costs, pairs, penalties, node_names=names)
 
     x = {eid: (Fraction(2, k) if eid in wavy_edges else Fraction(1, k))
          for eid in range(g.num_edges)}
@@ -70,7 +65,7 @@ def gadget_tight_family(inst: PcsfInstance, k: int):
     with each z_{u_i}, the five wavy-pair cuts, and the {u1..u4} and
     {u7..u10} cuts.  Globally: the cut {r} paired with z_s, and z_s >= 0.
     """
-    if inst.meta.get("construction") != "pcst-gadget" or inst.meta.get("k") != k:
+    if not inst.structurally_equal(pcst_gadget_instance(k)[0]):
         raise InstanceError("instance was not produced by pcst_gadget_instance(k)")
     root, hub = 0, 1
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph, GraphError
-from .rational import Infinite, format_rational, parse_penalty, parse_rational, read_records
+from .rational import (Infinite, format_rational, parse_field, parse_penalty, parse_rational,
+                       read_records)
 
 
 class InstanceError(ValueError):
@@ -25,7 +26,7 @@ class PcsfInstance:
     forest behaviour for that pair).
     """
 
-    def __init__(self, graph: Graph, costs, pairs, penalties, node_names=None, meta=None):
+    def __init__(self, graph: Graph, costs, pairs, penalties, node_names=None):
         self.graph = graph
         self.costs = {eid: Fraction(c) for eid, c in costs.items()}
         self.pairs = [tuple(p) for p in pairs]
@@ -33,7 +34,6 @@ class PcsfInstance:
             i: (p if isinstance(p, Infinite) else Fraction(p)) for i, p in penalties.items()
         }
         self.node_names = node_names or [str(i) for i in range(graph.num_nodes)]
-        self.meta = meta or {}
         self._validate()
 
     def _validate(self):
@@ -129,10 +129,10 @@ def _build_instance(records) -> PcsfInstance:
         kind, u, v, value = fields
         u, v = ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))
         if kind == "edge":
-            costs[len(edges)] = parse_rational(value)
+            costs[len(edges)] = parse_field(where, parse_rational, value)
             edges.append((u, v))
         else:
-            penalties[len(pairs)] = parse_penalty(value)
+            penalties[len(pairs)] = parse_field(where, parse_penalty, value)
             pairs.append((u, v))
     return PcsfInstance(Graph(len(ids), edges), costs, pairs, penalties,
                         node_names=list(ids))
@@ -186,10 +186,10 @@ def read_frac_solution(path) -> FracSolution:
         if len(fields) != 3 or fields[0] not in ("x", "z"):
             raise InstanceError(f"{where}: malformed line: {' '.join(fields)!r}")
         values = sol.x if fields[0] == "x" else sol.z
-        idx = int(fields[1])
+        idx = parse_field(where, int, fields[1])
         if idx in values:
             raise InstanceError(f"{where}: second value for {fields[0]} {idx}")
-        values[idx] = parse_rational(fields[2])
+        values[idx] = parse_field(where, parse_rational, fields[2])
     return sol
 
 

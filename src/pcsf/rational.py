@@ -40,6 +40,14 @@ def read_records(path):
                 yield f"{path}:{lineno}", fields
 
 
+def parse_field(where, parse, token):
+    """``parse(token)``, a ValueError naming the record's ``where``."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def parse_rational(token: str) -> Fraction:
     """Parse ``a/b`` or a decimal literal into an exact Fraction; a zero
     denominator is a ValueError like any other malformed token."""

@@ -104,6 +104,46 @@ def test_verify_vertex_without_its_files_exits_2(tmp_path):
         assert_validation_error(code, err, "--gadget-k")
 
 
+# --- malformed distributions and bad tokens ------------------------------
+
+@pytest.mark.parametrize("command", ["verify", "trace"])
+@pytest.mark.parametrize("text, needle", [
+    ("forest -1\ne 0\nforest 2\ne 1\n", "negative weight"),
+    # the 18 edges of the m = 2 layered graph over K4 hold a cycle
+    ("forest 1\n" + "".join(f"e {e}\n" for e in range(18)), "cycle"),
+    ("forest 1/2\ne 0\n", "weights sum to 1/2"),
+], ids=["negative-weight", "cycle", "sum"])
+def test_malformed_distributions_exit_2(tmp_path, command, text, needle):
+    p = files(tmp_path, dist=text)
+    code, out, err = run("decompose", command, "--m", "2", "--alpha", "9/4", "--dist", p["dist"])
+    assert out == ""
+    assert_validation_error(code, err, needle)
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("inst", TRIANGLE.replace("edge b c 1", "edge b c 1/x"), 3),
+    ("inst", TRIANGLE.replace("pair a c 1/2", "pair a c nan"), 5),
+    ("point", POINT.replace("x 1 0", "x 1 nan"), 2),
+    ("point", POINT.replace("z 0 1", "z zero 1"), 4),
+    ("dist", "forest 1\ne x\n", 2),
+    ("dist", "# weights\nforest 1/x\n", 2),
+    ("family", FAMILY.replace("nonneg_x 2", "nonneg_x two"), 4),
+    ("family", "cut a a\n", 1),
+    ("point", POINT + "x 1\n", 5),  # a malformed line is named once, not twice
+], ids=["inst-cost", "inst-penalty", "point-value", "point-id", "dist-edge", "dist-weight",
+        "family-edge", "family-pair", "point-malformed-line"])
+def test_bad_tokens_name_their_file_and_line(tmp_path, name, text, line):
+    p = files(tmp_path, **{"inst": TRIANGLE, "point": POINT, "dist": "", "family": FAMILY,
+                           name: text})
+    if name == "dist":
+        argv = ["decompose", "verify", "--m", "2", "--alpha", "9/4", "--dist", p["dist"]]
+    else:
+        argv = ["lp", "verify-vertex", p["inst"], "--point", p["point"], "--family", p["family"]]
+    code, _, err = run(*argv)
+    assert_validation_error(code, err, f"{p[name]}:{line}: ")
+    assert json.loads(err)["error"].count(str(p[name])) == 1
+
+
 # --- zero denominators --------------------------------------------------
 
 def test_parse_rational_zero_denominator_is_a_value_error():
@@ -182,7 +222,8 @@ def soups(draw, grammar, first=None):
 
 def check_soup(argv):
     """main() returns, and a nonzero exit comes with a JSON error of the
-    matching type on stderr, or is decompose verify's failing verdict."""
+    matching type on stderr, or is decompose verify's failing verdict; any
+    error decompose verify reports is one of its input."""
     code, out, err = run(*argv)
     if code == 0:
         return
@@ -190,6 +231,8 @@ def check_soup(argv):
         doc = json.loads(err)
         assert doc["error"]
         assert {"validation": 2, "scale_cap": 3, "infeasible": 4, "guarantee": 5}[doc["type"]] == code
+        if argv[:2] == ["decompose", "verify"]:
+            assert doc["type"] == "validation"
     else:
         assert argv[:2] == ["decompose", "verify"] and code == 4
         assert json.loads(out)["passes"] is False

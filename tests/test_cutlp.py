@@ -107,9 +107,9 @@ def test_matrix_rank_exact():
     rows = [{0: Fraction(1), 1: Fraction(1)},
             {1: Fraction(1), 2: Fraction(1)},
             {0: Fraction(1), 2: Fraction(-1)}]  # row0 - row1
-    assert matrix_rank_exact(rows, 3) == 2
-    assert matrix_rank_exact([], 3) == 0
-    assert matrix_rank_exact([{0: Fraction(0)}], 1) == 0
+    assert matrix_rank_exact(rows) == 2
+    assert matrix_rank_exact([]) == 0
+    assert matrix_rank_exact([{0: Fraction(0)}]) == 0
 
 
 def test_matrix_rank_handles_fill_in():
@@ -118,4 +118,4 @@ def test_matrix_rank_handles_fill_in():
             {0: Fraction(1), 2: Fraction(1)},
             {1: Fraction(1), 2: Fraction(-1)},
             {0: Fraction(2), 1: Fraction(1), 2: Fraction(1)}]
-    assert matrix_rank_exact(rows, 3) == 2
+    assert matrix_rank_exact(rows) == 2

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsf import decomposition as dec
 from pcsf.cutlp import solve_lp
-from pcsf.exact import solve_ip
-from pcsf.graph import Graph
+from pcsf.exact import ENUM_EDGE_CAP, solve_ip
+from pcsf.graph import Graph, is_forest
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
 from pcsf.layered import build_layered, canonical_point
 from pcsf.rational import INF
@@ -75,10 +77,13 @@ def test_distribution_normalizes_and_validates():
 
 def test_distribution_validate_failures():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(dec.DecompositionError):
+    with pytest.raises(InstanceError):
         dec.ForestDistribution([(frozenset({0}), Fraction(1, 2))]).validate(g)
-    with pytest.raises(dec.DecompositionError):
+    with pytest.raises(InstanceError):
         dec.ForestDistribution([(frozenset({0, 1, 2}), Fraction(1))]).validate(g)
+    with pytest.raises(InstanceError):
+        dec.ForestDistribution([(frozenset({0}), Fraction(3, 2)),
+                                (frozenset({1}), Fraction(-1, 2))]).validate(g)
 
 
 def test_distribution_file_round_trip(tmp_path):
@@ -107,6 +112,15 @@ def test_prism_tree_decomposition():
     assert all(len(f) == 5 for f in d.support())
 
 
+def test_complete7_tree_decomposition_by_column_generation():
+    P = make_base("complete(7)")
+    assert P.num_edges > ENUM_EDGE_CAP  # no uniform check: column generation runs
+    d = dec.spanning_tree_decomposition(P)
+    assert sum(w for _, w in d.entries) == 1
+    assert all(len(f) == 6 and is_forest(P, f) for f in d.support())
+    assert all(v <= Fraction(2, 7) for v in d.edge_marginals().values())
+
+
 def test_tree_decomposition_needs_regular_graph():
     from pcsf.graph import GraphError
     with pytest.raises(GraphError):
@@ -127,7 +141,6 @@ def test_explicit_distribution_k0():
     assert len(d.entries) == 17  # 16 replicated base trees + 1 global tree
     report = dec.verify_distribution(lc, d, Fraction(9, 4), "gap")
     assert report.passes
-    assert report.worst_edge_ratio <= 1
 
 
 def test_explicit_distribution_alpha_range():
@@ -183,6 +196,41 @@ def test_min_alpha_methods_agree_on_randoms():
         done += 1
 
 
+@st.composite
+def small_instances_with_points(draw):
+    """Connected graphs on 3..6 nodes with at most 10 edges and 1..3 pairs
+    (some of infinite penalty), with the cut LP's optimal point."""
+    n = draw(st.integers(3, 6))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=n - 2, max_size=10 - len(edges)))
+    seen = {frozenset(e) for e in edges}
+    for u, v in extra:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=3, unique_by=frozenset))
+    costs = {e: Fraction(draw(st.integers(1, 5))) for e in range(len(edges))}
+    pens = {i: draw(st.sampled_from([Fraction(2), Fraction(7, 2), Fraction(6), Fraction(10), INF]))
+            for i in range(len(pairs))}
+    inst = PcsfInstance(Graph(n, edges), costs, pairs, pens)
+    return inst, solve_lp(inst).solution
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=small_instances_with_points())
+def test_min_beta_methods_agree_and_bound_feasibility(case):
+    inst, point = case
+    beta, _, _ = dec.min_beta(inst, point, method="cg")
+    assert dec.min_beta(inst, point, method="enumerate")[0] == beta
+    assert dec.feasibility_at_beta(inst, point, beta).value == 1
+    if beta > 0:
+        below = max(beta - Fraction(1, 100), Fraction(0))
+        assert dec.feasibility_at_beta(inst, point, below).value < 1
+
+
 def test_min_beta_triangle():
     inst = triangle_instance()
     beta, d, _ = dec.min_beta(inst, triangle_point())
@@ -230,15 +278,13 @@ def test_witness_round_trip_triangle():
 
 def test_witness_rejects_degenerate_dual():
     inst = triangle_instance()
-    w = dec.DualWitness(d={}, rho={}, gamma_dual=Fraction(0), value=Fraction(0),
-                        inst=inst, point=triangle_point(),
+    w = dec.DualWitness(d={}, rho={}, gamma_dual=Fraction(0), inst=inst,
                         zero_edges=frozenset(), forced_pairs=frozenset())
     with pytest.raises(InstanceError):
         dec.witness_costs_from_dual(w)
     with pytest.raises(InstanceError):
         dec.witness_costs_from_dual(
-            dec.DualWitness(d={0: Fraction(1)}, rho={}, gamma_dual=Fraction(1),
-                            value=Fraction(1), inst=inst, point=triangle_point(),
+            dec.DualWitness(d={0: Fraction(1)}, rho={}, gamma_dual=Fraction(1), inst=inst,
                             zero_edges=frozenset(), forced_pairs=frozenset()),
             mode="lmp")  # lmp needs beta
 

@@ -71,3 +71,24 @@ def test_files_are_read_only_by_the_shared_readers():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     assert not found, f"files opened for reading outside the shared readers: {found}"
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an unused knob; self and cls
+    # are exempt, and a read by a nested function or lambda counts
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                      if p not in read and p not in ("self", "cls")]
+    assert not found, f"parameters never read: {found}"

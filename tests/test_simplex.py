@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsf import simplex
-from pcsf.simplex import LpError, LpInfeasible, LpUnbounded, solve_max, solve_min
+from pcsf.simplex import LpError, LpInfeasible, LpUnbounded, solve_min
 
 
 def test_tiny_min():
@@ -19,9 +19,9 @@ def test_tiny_min():
 
 
 def test_tiny_max():
-    # max x0 s.t. x0 <= 5/2
-    sol = solve_max(1, [Fraction(1)], [{0: 1}], ["<="], [Fraction(5, 2)])
-    assert sol.objective == Fraction(5, 2)
+    # max x0 s.t. x0 <= 5/2, as min -x0
+    sol = solve_min(1, [Fraction(-1)], [{0: 1}], ["<="], [Fraction(5, 2)])
+    assert -sol.objective == Fraction(5, 2)
     assert sol.x == [Fraction(5, 2)]
 
 
