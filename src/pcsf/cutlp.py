@@ -114,47 +114,56 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     num_vars = len(free_edges) + len(z_pairs)
     cost = [inst.costs[e] for e in free_edges] + [inst.penalties[i] for i in z_pairs]
 
-    # working set, in insertion order: (pair, side) -> crossing edge ids
+    # working set, in insertion order: (pair, side) -> (row, rhs) of each
+    # cut that the forced-in edges and the auto-connected pairs leave open
+    one = Fraction(1)
     cuts = {}
 
     def add_cut(key):
-        if key not in cuts:
-            cuts[key] = sorted(cut_edges(g, key[1]))
+        i, side = key
+        if key in cuts or auto[i]:
+            return
+        crossing = cut_edges(g, side)
+        b = 1 - len(crossing & forced_in)
+        if b > 0:
+            row = dict.fromkeys(sorted(xcol[e] for e in crossing if e in xcol), one)
+            if i in zcol:
+                row[zcol[i]] = one
+            cuts[key] = (row, Fraction(b))
 
     for key in pool or ():
         add_cut(key)
 
+    # the last certified basis, carried into the next round's dual simplex:
+    # its basic structural columns, and the cuts whose slack is nonbasic;
+    # every other cut (a new one included) starts with its slack basic
+    basic_cols, bound = (), set()
     iterations = 0
     while True:
-        rows, rhs = [], []
-        live = []
-        for key, crossing in cuts.items():
-            i = key[0]
-            if auto[i]:
-                continue
-            b = 1 - sum(1 for e in crossing if e in forced_in)
-            if b <= 0:
-                continue
-            row = {xcol[e]: Fraction(1) for e in crossing if e in xcol}
-            if i in zcol:
-                row[zcol[i]] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(b))
-            live.append(key)
-        sol = simplex.solve_min(num_vars, cost, rows, [">="] * len(rows), rhs)
+        live = list(cuts)
+        rows = [row for row, _ in cuts.values()]
+        rhs = [b for _, b in cuts.values()]
+        start = (basic_cols, [r for r, key in enumerate(live) if key not in bound])
+        sol = simplex.solve_min(num_vars, cost, rows, [">="] * len(rows), rhs, start=start)
         iterations += 1
+        if sol.basis is None:  # the Bland tableau decided: restart from slacks
+            basic_cols, bound = (), set()
+        else:
+            basic_cols = sol.basis[0]
+            slack_rows = set(sol.basis[1])
+            bound = {key for r, key in enumerate(live) if r not in slack_rows}
         x = {e: Fraction(0) for e in range(g.num_edges)}
         for e in forced_in:
-            x[e] = Fraction(1)
+            x[e] = one
         for e, j in xcol.items():
             x[e] = sol.x[j]
         z = {i: Fraction(0) for i in range(inst.num_pairs)}
         for i, j in zcol.items():
             z[i] = sol.x[j]
 
-        # cuts of the live rows that are tight at this optimum
-        tight = [key for key in live
-                 if sum(x[e] for e in cuts[key]) + z[key[0]] == 1]
+        # cuts whose rows are tight at this optimum
+        tight = [key for key, (row, b) in cuts.items()
+                 if sum(sol.x[j] for j in row if sol.x[j]) == b]
         violated = list(_violated_cuts(inst, x, z, open_pairs))
         if not violated:
             if pool is not None:
@@ -166,7 +175,8 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         # drop cuts strictly slack at the optimum: the optimal duals live
         # on tight rows, so the relaxed LP keeps the same value and the
         # cutting-plane objective stays monotone; dropped cuts may return
-        # through separation later
+        # through separation later.  A dropped cut's slack was positive,
+        # hence basic, so the carried basis stays square
         cuts = {key: cuts[key] for key in tight}
         for key in violated:
             add_cut(key)

@@ -3,8 +3,11 @@
 All variables are nonnegative; rows are sparse dicts with senses in
 {'<=', '>=', '='}.  A solve tries these sources of an answer in turn:
 
-1. A float tableau simplex (numpy, Dantzig's rule) guesses an optimal
-   basis.
+1. A float tableau simplex guesses an optimal basis.  Given a starting
+   basis that is dual feasible (the cutting-plane loop hands each round
+   the last round's basis), a dual simplex repairs it; otherwise, or if
+   its basis fails the check, a two-phase primal simplex (Dantzig's rule)
+   starts from the artificial basis.
 2. Float solves of that basis give x_B and the duals y, which rational
    reconstruction (``limit_denominator``) turns into a candidate.
 3. One exact check on the sparse rows accepts a candidate only as a full
@@ -47,6 +50,10 @@ class LpSolution:
     x: list                  # one Fraction per structural variable
     objective: Fraction
     duals: list              # one Fraction per input row, in input order
+    # the certified basis as (basic structural columns, input rows whose
+    # slack is basic), the form ``solve_min``'s ``start`` takes; None when
+    # the exact Bland tableau decided
+    basis: tuple | None = None
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
@@ -92,31 +99,41 @@ def _float(q):
     return q.numerator / q.denominator  # what float(Fraction) computes
 
 
+def _dense(A, b, ncols, extra):
+    """Float tableau [A | 0 | b] from the sparse rows, with ``extra`` zero
+    columns between A and b."""
+    T = np.zeros((len(A), ncols + extra + 1))
+    entries = [(i, j, _float(a)) for i, row in enumerate(A) for j, a in row.items()]
+    if entries:
+        ii, jj, vals = zip(*entries)
+        T[ii, jj] = vals
+    T[:, -1] = [_float(v) for v in b]
+    return T
+
+
+def _pivot(T, r, col):
+    """Pivot the tableau on (r, col) in place.
+
+    Eliminates col from the rows where |T[i, col]| > 1e-14, as a row-by-row
+    loop would; the columns where the pivot row is zero would only have 0
+    subtracted, which changes no nonzero entry."""
+    prow = T[r]
+    prow /= prow[col]
+    hit = abs(T[:, col]) > 1e-14
+    hit[r] = False
+    rows = hit.nonzero()[0][:, None]
+    cols = prow.nonzero()[0]
+    T[rows, cols] -= T[rows, col] * prow[cols]
+
+
 def _float_simplex(A, cost, b, ncols):
     """Two-phase float tableau simplex; returns (status, basis), status one
     of 'optimal', 'infeasible', 'unbounded' or 'pivot_limit'."""
     m = len(A)
     total = ncols + m  # artificial column per row
-    T = np.zeros((m, total + 1))
-    entries = [(i, j, _float(a)) for i, row in enumerate(A) for j, a in row.items()]
-    if entries:
-        ii, jj, vals = zip(*entries)
-        T[ii, jj] = vals
+    T = _dense(A, b, ncols, m)
     T[np.arange(m), ncols + np.arange(m)] = 1.0
-    T[:, total] = [_float(v) for v in b]
     basis = [ncols + i for i in range(m)]
-
-    def pivot(r, col):
-        # eliminate col from the rows where |T[i, col]| > 1e-14, as a
-        # row-by-row loop would; the columns where the pivot row is zero
-        # would only have 0 subtracted, which changes no nonzero entry
-        prow = T[r]
-        prow /= prow[col]
-        hit = abs(T[:, col]) > 1e-14
-        hit[r] = False
-        rows = hit.nonzero()[0][:, None]
-        cols = prow.nonzero()[0]
-        T[rows, cols] -= T[rows, col] * prow[cols]
 
     def run(obj, limit):
         for _ in range(MAX_PIVOTS):
@@ -131,7 +148,7 @@ def _float_simplex(A, cost, b, ncols):
             r = int(ratios.argmin())
             if not np.isfinite(ratios[r]):
                 return "unbounded"
-            pivot(r, col)
+            _pivot(T, r, col)
             basis[r] = col
         return "pivot_limit"
 
@@ -142,6 +159,46 @@ def _float_simplex(A, cost, b, ncols):
         return "infeasible", basis
     obj2 = np.concatenate([[_float(v) for v in cost[:ncols]], np.zeros(m)])
     return run(obj2, ncols), basis
+
+
+def _float_dual(A, cost, b, ncols, basis):
+    """Float dual simplex from ``basis`` over the structural and slack
+    columns; returns (status, basis), status one of 'optimal', 'infeasible'
+    or 'pivot_limit', or None when the basis is singular or not dual
+    feasible.
+
+    Each pivot leaves on the row whose infeasibility x_r^2 is largest
+    relative to its squared tableau row norm (a steepest-edge weight; the
+    plain most negative x_r let the cutting-plane loop cycle through the
+    same cuts, 1,227 rounds on the depth-0 complete(5) layered instance at
+    m=2 where a cold solve takes 103).  It enters the column minimising
+    red_j / |T_rj| over T_rj < 0, with reduced costs within FLOAT_TOL of 0
+    taken as 0, so that degenerate ties go to the smallest column."""
+    M = _dense(A, b, ncols, 0)
+    try:
+        T = np.linalg.inv(M[:, basis]) @ M
+    except np.linalg.LinAlgError:
+        return None, basis
+    basis = list(basis)
+    obj = np.array([_float(v) for v in cost])
+    red = obj - obj[basis] @ T[:, :ncols]
+    if (red < -FLOAT_TOL).any():
+        return None, basis
+    for _ in range(MAX_PIVOTS):
+        xb = T[:, ncols]
+        if xb.min() >= -FLOAT_TOL:
+            return "optimal", basis
+        r = int((np.minimum(xb, 0) ** 2 / (T[:, :ncols] ** 2).sum(axis=1)).argmax())
+        ok = T[r, :ncols] < -FLOAT_TOL
+        if not ok.any():
+            return "infeasible", basis
+        red = np.where(red > FLOAT_TOL, red, 0.0)
+        ratios = np.divide(red, -T[r, :ncols], out=np.full(ncols, np.inf), where=ok)
+        col = int(ratios.argmin())
+        _pivot(T, r, col)
+        basis[r] = col
+        red = obj - obj[basis] @ T[:, :ncols]
+    return "pivot_limit", basis
 
 
 def _reconstructed(A, cost, b, struct, tight):
@@ -310,27 +367,56 @@ def _exact_simplex(A, cost, b, ncols):
     return x, obj, y
 
 
-def solve_min(num_vars, c, rows, senses, rhs) -> LpSolution:
+def _start_basis(start, num_vars, m, slack_cols):
+    """The column list of ``start = (cols, rows)``, or None when it names
+    an unknown column, a row without a slack or the wrong number of
+    columns."""
+    cols, srows = start
+    slack_of = {r: col for col, r in slack_cols.items()}
+    if len(cols) + len(srows) != m or not all(0 <= j < num_vars for j in cols):
+        return None
+    if not all(r in slack_of for r in srows):
+        return None
+    return list(cols) + [slack_of[r] for r in srows]
+
+
+def solve_min(num_vars, c, rows, senses, rhs, start=None) -> LpSolution:
     """Minimize c.x over {A x (sense) b, x >= 0}; exact result.
 
     Duals are reported per input row in the caller's orientation: for a
     minimization problem a '>=' row gets a nonnegative dual, a '<=' row a
     nonpositive one, '=' rows are free.
+
+    ``start = (cols, rows)``, the basic structural columns and the input
+    rows whose slack is basic, starts a float dual simplex from that
+    basis; a start that is malformed, singular or not dual feasible is
+    ignored.  It changes which optimum may be found, never its exactness.
     """
     if not rows:
         if any(c[j] < 0 for j in range(num_vars)):
             raise LpUnbounded("negative cost with no constraints")
-        return LpSolution(x=[Fraction(0)] * num_vars, objective=Fraction(0), duals=[])
+        return LpSolution(x=[Fraction(0)] * num_vars, objective=Fraction(0), duals=[],
+                          basis=((), ()))
     A, cost, b, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
 
     # only a float optimum is worth certifying; every other status (and a
-    # failed certificate) is settled by the exact simplex
+    # failed certificate) passes to the next source of an answer
     result = None
-    status, basis = _float_simplex(A, cost, b, ncols)
-    if status == "optimal":
-        result = _certify(A, cost, b, ncols, basis, slack_cols)
+    basis = None if start is None else _start_basis(start, num_vars, len(A), slack_cols)
+    if basis is not None:
+        status, basis = _float_dual(A, cost, b, ncols, basis)
+        if status == "optimal":
+            result = _certify(A, cost, b, ncols, basis, slack_cols)
+    if result is None:
+        status, basis = _float_simplex(A, cost, b, ncols)
+        if status == "optimal":
+            result = _certify(A, cost, b, ncols, basis, slack_cols)
     if result is None:
         result = _exact_simplex(A, cost, b, ncols)
+        basis = None
+    else:
+        basis = (tuple(sorted(col for col in basis if col not in slack_cols)),
+                 tuple(sorted(slack_cols[col] for col in basis if col in slack_cols)))
     x_full, obj, y = result
     duals = [(-y[i] if flip[i] else y[i]) for i in range(len(rows))]
-    return LpSolution(x=x_full[:num_vars], objective=obj, duals=duals)
+    return LpSolution(x=x_full[:num_vars], objective=obj, duals=duals, basis=basis)

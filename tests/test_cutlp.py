@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from pcsf import simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
 from pcsf.graph import Graph
-from pcsf.instance import FracSolution, InstanceError, PcsfInstance
+from pcsf.instance import FracSolution, InstanceError, PcsfInstance, make_base
+from pcsf.layered import build_layered, layered_instance
 from pcsf.rational import INF
 
 
@@ -81,6 +83,21 @@ def test_pool_is_refreshed_with_tight_cuts():
     again = solve_cut_lp(inst, pool=pool)
     assert again.value == first.value
     assert again.iterations <= first.iterations
+
+
+def test_every_round_is_settled_by_the_warm_dual_simplex(monkeypatch):
+    """Each round after the first starts from the last certified basis plus
+    the new cuts' slacks; on the depth-0 K4 layered instance at m=3 the
+    float dual simplex certifies every round, so neither the cold two-phase
+    simplex nor the Bland tableau runs."""
+    cold = []
+    for name in ("_float_simplex", "_exact_simplex"):
+        run = getattr(simplex, name)
+        monkeypatch.setattr(simplex, name,
+                            lambda *a, name=name, run=run: cold.append(name) or run(*a))
+    inst = layered_instance(build_layered(make_base("k4"), m=3, k=0))
+    assert solve_lp(inst).value == 12
+    assert cold == []
 
 
 def test_solution_is_feasible_and_cuts_tight():

@@ -1,16 +1,18 @@
 """The cut LP against slow exact oracles on small hypothesis-generated
 instances: separation against brute force over all node subsets, the
 cutting-plane value against the cut LP written out over every separating
-set, and branch and bound against the enumeration oracle."""
+set (also with edges forced in or out and a reused cut pool), and branch
+and bound against the enumeration oracle."""
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsf import simplex
-from pcsf.cutlp import check_feasible, solve_lp
+from pcsf.cutlp import LpInfeasibleError, check_feasible, solve_cut_lp, solve_lp
 from pcsf.exact import enumerate_ip, solve_ip
 from pcsf.graph import Graph, cut_edges
 from pcsf.instance import FracSolution, PcsfInstance
@@ -73,9 +75,10 @@ def test_check_feasible_matches_brute_force(data):
         assert slack(inst, point, violated.pair, violated.side) < 0
 
 
-@PROPERTY
-@given(instances())
-def test_solve_lp_matches_full_cut_lp(inst):
+def full_cut_lp(inst, fixed=None):
+    """The cut LP written out over every separating set, with an x and a z
+    column for every edge and finite-penalty pair; ``fixed`` maps edges to
+    the value (0 or 1) an equality row pins them to."""
     m = inst.graph.num_edges
     z_pairs = [i for i in range(inst.num_pairs) if not inst.is_infinite(i)]
     zcol = {i: m + j for j, i in enumerate(z_pairs)}
@@ -90,10 +93,46 @@ def test_solve_lp_matches_full_cut_lp(inst):
         if i in zcol:
             row[zcol[i]] = Fraction(1)
         lp_rows.append(row)
-    full = simplex.solve_min(len(cost), cost, lp_rows, [">="] * len(lp_rows),
-                             [Fraction(1)] * len(lp_rows))
+    senses, rhs = [">="] * len(lp_rows), [Fraction(1)] * len(lp_rows)
+    for e, v in sorted((fixed or {}).items()):
+        lp_rows.append({e: Fraction(1)})
+        senses.append("=")
+        rhs.append(Fraction(v))
+    return simplex.solve_min(len(cost), cost, lp_rows, senses, rhs)
+
+
+@PROPERTY
+@given(instances())
+def test_solve_lp_matches_full_cut_lp(inst):
     res = solve_lp(inst)
-    assert res.value == full.objective
+    assert res.value == full_cut_lp(inst).objective
+    assert check_feasible(inst, res.solution) is None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_restricted_cut_lp_with_reused_pool_matches_full_cut_lp(data):
+    """Branch and bound's use of the engine: a pool filled by an earlier
+    solve, edges forced in (bought, cost paid by the caller) and forced
+    out (deleted); the value plus the forced-in cost must be the full cut
+    LP's with those edges pinned to 1 and 0."""
+    inst = data.draw(instances())
+    fate = [data.draw(st.sampled_from(["free", "in", "out"])) for _ in range(inst.graph.num_edges)]
+    forced_in = {e for e, f in enumerate(fate) if f == "in"}
+    forced_out = {e for e, f in enumerate(fate) if f == "out"}
+    pool = []
+    solve_cut_lp(inst, pool=pool)
+    fixed = {**dict.fromkeys(forced_in, 1), **dict.fromkeys(forced_out, 0)}
+    try:
+        full = full_cut_lp(inst, fixed).objective
+    except simplex.LpInfeasible:
+        with pytest.raises(LpInfeasibleError):
+            solve_cut_lp(inst, pool=pool, forced_in=forced_in, forced_out=forced_out)
+        return
+    res = solve_cut_lp(inst, pool=pool, forced_in=forced_in, forced_out=forced_out)
+    assert res.value + sum(inst.costs[e] for e in forced_in) == full
+    assert all(res.solution.x[e] == 1 for e in forced_in)
+    assert all(res.solution.x[e] == 0 for e in forced_out)
     assert check_feasible(inst, res.solution) is None
 
 

@@ -265,9 +265,49 @@ def reference_float_simplex(A, cost, b, ncols):
     return run(obj2, allowed2), basis
 
 
+def reference_float_dual(A, cost, b, ncols, basis):
+    """The float dual simplex with a row-by-row pivot: the reference whose
+    status and basis ``simplex._float_dual`` must reproduce exactly."""
+    m = len(A)
+    M = np.zeros((m, ncols + 1))
+    for i, row in enumerate(A):
+        for j, a in row.items():
+            M[i, j] = float(a)
+        M[i, ncols] = float(b[i])
+    try:
+        T = np.linalg.inv(M[:, basis]) @ M
+    except np.linalg.LinAlgError:
+        return None, basis
+    basis = list(basis)
+    obj = np.array([float(v) for v in cost])
+    red = obj - obj[basis] @ T[:, :ncols]
+    if (red < -simplex.FLOAT_TOL).any():
+        return None, basis
+    for _ in range(simplex.MAX_PIVOTS):
+        xb = T[:, ncols]
+        if xb.min() >= -simplex.FLOAT_TOL:
+            return "optimal", basis
+        weights = np.array([min(xb[i], 0) ** 2 / (T[i, :ncols] ** 2).sum() for i in range(m)])
+        r = int(np.argmax(weights))
+        ratios = np.full(ncols, np.inf)
+        ok = T[r, :ncols] < -simplex.FLOAT_TOL
+        if not ok.any():
+            return "infeasible", basis
+        red[red <= simplex.FLOAT_TOL] = 0.0
+        ratios[ok] = red[ok] / -T[r, :ncols][ok]
+        col = int(np.argmin(ratios))
+        T[r] /= T[r, col]
+        for i in range(m):
+            if i != r and abs(T[i, col]) > 1e-14:
+                T[i] -= T[i, col] * T[r]
+        basis[r] = col
+        red = obj - obj[basis] @ T[:, :ncols]
+    return "pivot_limit", basis
+
+
 def test_float_simplex_matches_row_by_row_reference():
     rng = random.Random(5)
-    statuses = set()
+    statuses, dual_statuses = set(), set()
     for trial in range(300):
         n = rng.randint(1, 12)
         m = rng.randint(1, 16)
@@ -283,8 +323,93 @@ def test_float_simplex_matches_row_by_row_reference():
                      for j in rng.sample(range(n), rng.randint(1, n))} for _ in range(m)]
             senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 6)) for _ in range(m)]
-        A, cost, b, _, ncols, _ = simplex._standardize(n, c, rows, senses, rhs)
+        A, cost, b, _, ncols, slack_cols = simplex._standardize(n, c, rows, senses, rhs)
         got = simplex._float_simplex(A, cost, b, ncols)
         assert got == reference_float_simplex(A, cost, b, ncols)
         statuses.add(got[0])
+        # the dual phase from the slack basis where every row has a slack,
+        # else from a random choice of columns
+        if len(slack_cols) == len(A):
+            basis = sorted(slack_cols)
+        else:
+            basis = rng.sample(range(ncols), len(A)) if ncols >= len(A) else None
+        if basis is not None:
+            got = simplex._float_dual(A, cost, b, ncols, basis)
+            assert got == reference_float_dual(A, cost, b, ncols, basis)
+            dual_statuses.add(got[0])
     assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert dual_statuses == {"optimal", "infeasible", None}
+
+
+# a covering LP whose optimum x = (1, 1) lies two dual pivots from the
+# slack basis
+COVER = (2, [Fraction(4), Fraction(5)], [{0: 2, 1: 1}, {0: 1, 1: 3}], [">=", ">="], [3, 4])
+
+
+@pytest.mark.parametrize("lp, start", [
+    (COVER, ((0,), ())),            # one column for two rows
+    (COVER, ((0, 1, 1), ())),       # three columns for two rows
+    (COVER, ((2,), (0,))),          # an unknown structural column
+    # parallel structural columns: a singular basis
+    ((2, [Fraction(1), Fraction(1)], [{0: 1, 1: 2}, {0: 2, 1: 4}], [">=", ">="], [2, 3]),
+     ((0, 1), ())),
+    # a negative cost leaves the slack basis dual infeasible
+    ((2, [Fraction(-1), Fraction(1)], [{0: 1, 1: 1}, {0: 1, 1: -1}], ["<=", ">="], [4, -2]),
+     ((), (0, 1))),
+    # an '=' row has no slack to be basic
+    ((2, [Fraction(1), Fraction(1)], [{0: 1, 1: 1}], ["="], [2]), ((), (0,))),
+])
+def test_rejected_start_gives_the_cold_answer(lp, start):
+    cold = solve_min(*lp)
+    warm = solve_min(*lp, start=start)
+    assert (warm.objective, warm.x, warm.duals) == (cold.objective, cold.x, cold.duals)
+
+
+def test_dual_pivot_limit_is_not_optimal(monkeypatch):
+    cold = solve_min(*COVER)
+    slack_basis = ((), (0, 1))
+    assert solve_min(*COVER, start=slack_basis).basis == ((0, 1), ())
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    A, cost, b, _, ncols, slack_cols = simplex._standardize(*COVER)
+    status, _ = simplex._float_dual(A, cost, b, ncols, sorted(slack_cols))
+    assert status == "pivot_limit"
+    capped = solve_min(*COVER, start=slack_basis)
+    assert (capped.objective, capped.x, capped.duals) == (cold.objective, cold.x, cold.duals)
+
+
+def test_start_from_the_certified_basis_needs_no_pivot(monkeypatch):
+    sol = solve_min(*COVER)
+    pivots = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *a: pivots.append(a) or pivot(*a))
+    again = solve_min(*COVER, start=sol.basis)
+    assert (again.objective, again.x, again.duals, again.basis) == \
+        (sol.objective, sol.x, sol.duals, sol.basis)
+    assert pivots == []
+
+
+@st.composite
+def covering_lps(draw):
+    """Covering LPs (c >= 0, '>=' rows with coefficients 0..3) on 1..5
+    variables and 1..6 rows, each with a random start: some structural
+    columns and as many slack rows as make the start square."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    c = [Fraction(draw(st.integers(0, 6))) for _ in range(n)]
+    rows = [{j: draw(st.integers(1, 3))
+             for j in draw(st.sets(st.integers(0, n - 1), min_size=1))} for _ in range(m)]
+    rhs = [draw(st.integers(0, 4)) for _ in range(m)]
+    k = draw(st.integers(0, min(n, m)))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    srows = draw(st.lists(st.integers(0, m - 1), min_size=m - k, max_size=m - k, unique=True))
+    return (n, c, rows, [">="] * m, rhs), (tuple(cols), tuple(srows))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(covering_lps())
+def test_warm_start_against_exact_simplex(case):
+    lp, start = case
+    sol = solve_min(*lp, start=start)
+    A, cost, b, _, ncols, _ = simplex._standardize(*lp)
+    assert sol.objective == simplex._exact_simplex(A, cost, b, ncols)[1]
+    assert_optimal(lp, sol.x, sol.duals, sol.objective)
