@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import simplex
 from .graph import component_labels, cut_edges, min_cut, scale_capacities
@@ -115,8 +116,8 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     cost = [inst.costs[e] for e in free_edges] + [inst.penalties[i] for i in z_pairs]
 
     # working set, in insertion order: (pair, side) -> (row, rhs) of each
-    # cut that the forced-in edges and the auto-connected pairs leave open
-    one = Fraction(1)
+    # cut that the forced-in edges and the auto-connected pairs leave open,
+    # with int coefficients
     cuts = {}
 
     def add_cut(key):
@@ -126,10 +127,10 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         crossing = cut_edges(g, side)
         b = 1 - len(crossing & forced_in)
         if b > 0:
-            row = dict.fromkeys(sorted(xcol[e] for e in crossing if e in xcol), one)
+            row = dict.fromkeys(sorted(xcol[e] for e in crossing if e in xcol), 1)
             if i in zcol:
-                row[zcol[i]] = one
-            cuts[key] = (row, Fraction(b))
+                row[zcol[i]] = 1
+            cuts[key] = (row, b)
 
     for key in pool or ():
         add_cut(key)
@@ -154,16 +155,17 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
             bound = {key for r, key in enumerate(live) if r not in slack_rows}
         x = {e: Fraction(0) for e in range(g.num_edges)}
         for e in forced_in:
-            x[e] = one
+            x[e] = Fraction(1)
         for e, j in xcol.items():
             x[e] = sol.x[j]
         z = {i: Fraction(0) for i in range(inst.num_pairs)}
         for i, j in zcol.items():
             z[i] = sol.x[j]
 
-        # cuts whose rows are tight at this optimum
-        tight = [key for key, (row, b) in cuts.items()
-                 if sum(sol.x[j] for j in row if sol.x[j]) == b]
+        # cuts whose rows are tight at this optimum, over X = d * sol.x in ints
+        d = lcm(*(v.denominator for v in sol.x))
+        X = [v.numerator * (d // v.denominator) for v in sol.x]
+        tight = [key for key, (row, b) in cuts.items() if sum(X[j] for j in row) == b * d]
         violated = list(_violated_cuts(inst, x, z, open_pairs))
         if not violated:
             if pool is not None:

@@ -1,16 +1,20 @@
 """Exact rational LP solver.
 
 All variables are nonnegative; rows are sparse dicts with senses in
-{'<=', '>=', '='}.  A solve tries these sources of an answer in turn:
+{'<=', '>=', '='}.  Each row is scaled once to integers (``_standardize``),
+so the exact work below is done in Python ints.  A solve tries these
+sources of an answer in turn:
 
 1. A float tableau simplex guesses an optimal basis.  Given a starting
    basis that is dual feasible (the cutting-plane loop hands each round
    the last round's basis), a dual simplex repairs it; otherwise, or if
    its basis fails the check, a two-phase primal simplex (Dantzig's rule)
-   starts from the artificial basis.
+   starts from the artificial basis.  If that reaches its pivot limit
+   (Dantzig's rule can cycle), it starts over with the Bland tableau's
+   own rules.
 2. Float solves of that basis give x_B and the duals y, which rational
    reconstruction (``limit_denominator``) turns into a candidate.
-3. One exact check on the sparse rows accepts a candidate only as a full
+3. One exact check on the integer rows accepts a candidate only as a full
    optimality proof: B x_B = b on the tight rows, x_B and the basic slacks
    nonnegative, B^T y = c_B and every nonbasic reduced cost nonnegative.
 4. Any other float outcome, a failed reconstruction or a rejected
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -59,55 +64,72 @@ class LpSolution:
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _standardize(num_vars, c, rows, senses, rhs):
-    """Equality standard form with slack columns, over exact sparse rows.
+def _ratio(a):
+    """(numerator, denominator) of an exact coefficient; ints and Fractions
+    are read as they are, anything else goes through ``Fraction``."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    return a.numerator, a.denominator
 
-    Returns ``(A, cost, b, flip, ncols, slack_cols)``: ``A[i]`` maps each
-    column with a nonzero coefficient in row i (its slack included) to a
-    Fraction, and ``slack_cols`` maps each slack column to its row.  Rows
-    with negative rhs are negated (sense flipped) so b >= 0; the ``flip``
-    list maps duals back to the caller's orientation.
+
+def _standardize(num_vars, c, rows, senses, rhs):
+    """Equality standard form with slack columns, in integers.
+
+    Returns ``(A, cost, b, scale, flip, ncols, slack_cols)``.  Row i is
+    scaled once by ``scale[i]``, the lcm of its coefficient and rhs
+    denominators: ``A[i]`` maps each column with a nonzero coefficient in
+    row i to an int, its slack to +-scale[i], and ``b[i]`` is an int, so
+    ``A[i] / scale[i]`` is exactly the caller's row.  ``cost`` holds one
+    Fraction per column and ``slack_cols`` maps each slack column to its
+    row.  Rows with negative rhs are negated (sense flipped) so b >= 0; the
+    ``flip`` list maps duals back to the caller's orientation.
     """
-    A, b, flip, slack_cols = [], [], [], {}
+    A, b, scale, flip, slack_cols = [], [], [], [], {}
     ncols = num_vars
     for i, (row, sense, bi) in enumerate(zip(rows, senses, rhs)):
         if sense not in _FLIP:
             raise LpError(f"unknown row sense {sense!r}")
-        bi = Fraction(bi)
-        neg = bi < 0
-        out = {}
+        terms = {}
         for j, a in row.items():
             if not 0 <= j < num_vars:
                 raise LpError(f"row {i} has coefficient for unknown column {j!r}")
-            a = Fraction(a)
-            if a:
-                out[j] = -a if neg else a
+            terms[j] = _ratio(a)
+        bn, bd = _ratio(bi)
+        s = lcm(bd, *(d for _, d in terms.values()))
+        neg = bn < 0
+        sign = -1 if neg else 1
+        out = {j: sign * n * (s // d) for j, (n, d) in terms.items() if n}
         if neg:
-            bi, sense = -bi, _FLIP[sense]
+            sense = _FLIP[sense]
         if sense != "=":
-            out[ncols] = Fraction(1) if sense == "<=" else Fraction(-1)
+            out[ncols] = s if sense == "<=" else -s
             slack_cols[ncols] = i
             ncols += 1
         A.append(out)
-        b.append(bi)
+        b.append(sign * bn * (s // bd))
+        scale.append(s)
         flip.append(neg)
     cost = [Fraction(c[j]) for j in range(num_vars)] + [Fraction(0)] * (ncols - num_vars)
-    return A, cost, b, flip, ncols, slack_cols
+    return A, cost, b, scale, flip, ncols, slack_cols
 
 
 def _float(q):
     return q.numerator / q.denominator  # what float(Fraction) computes
 
 
-def _dense(A, b, ncols, extra):
-    """Float tableau [A | 0 | b] from the sparse rows, with ``extra`` zero
-    columns between A and b."""
+def _dense(A, b, scale, ncols, extra):
+    """Float tableau [A | 0 | b] of the caller's rows (each integer row
+    divided by its scale), with ``extra`` zero columns between A and b.
+
+    int / int is correctly rounded, as is float(Fraction), so every entry
+    is the float of the caller's exact coefficient, bit for bit."""
     T = np.zeros((len(A), ncols + extra + 1))
-    entries = [(i, j, _float(a)) for i, row in enumerate(A) for j, a in row.items()]
+    entries = [(i, j, a / s) for i, (row, s) in enumerate(zip(A, scale))
+               for j, a in row.items()]
     if entries:
         ii, jj, vals = zip(*entries)
         T[ii, jj] = vals
-    T[:, -1] = [_float(v) for v in b]
+    T[:, -1] = [v / s for v, s in zip(b, scale)]
     return T
 
 
@@ -126,12 +148,20 @@ def _pivot(T, r, col):
     T[rows, cols] -= T[rows, col] * prow[cols]
 
 
-def _float_simplex(A, cost, b, ncols):
-    """Two-phase float tableau simplex; returns (status, basis), status one
-    of 'optimal', 'infeasible', 'unbounded' or 'pivot_limit'."""
+def _float_simplex(A, cost, b, scale, ncols, bland=False):
+    """Two-phase float tableau simplex from the artificial basis; returns
+    (status, basis), status one of 'optimal', 'infeasible', 'unbounded' or
+    'pivot_limit'.
+
+    Dantzig's rule enters the most negative reduced cost.  ``bland=True``
+    follows ``_exact_simplex``'s own rules instead, so that it takes the
+    Bland tableau's pivots towards its basis: the first column with a
+    negative reduced cost enters, ratio ties (within FLOAT_TOL) leave on
+    the smallest basic column, and after phase 1 each zero-level
+    artificial is driven out on its first nonzero structural column."""
     m = len(A)
     total = ncols + m  # artificial column per row
-    T = _dense(A, b, ncols, m)
+    T = _dense(A, b, scale, ncols, m)
     T[np.arange(m), ncols + np.arange(m)] = 1.0
     basis = [ncols + i for i in range(m)]
 
@@ -140,7 +170,7 @@ def _float_simplex(A, cost, b, ncols):
             # reduced costs: obj_j - y.A_j with y = obj[basis] via tableau
             red = obj - obj[basis] @ T[:, :total]
             red[limit:] = np.inf
-            col = int(red.argmin())
+            col = int((red <= -FLOAT_TOL).argmax()) if bland else int(red.argmin())
             if red[col] > -FLOAT_TOL:
                 return "optimal"
             ok = T[:, col] > FLOAT_TOL
@@ -148,6 +178,9 @@ def _float_simplex(A, cost, b, ncols):
             r = int(ratios.argmin())
             if not np.isfinite(ratios[r]):
                 return "unbounded"
+            if bland:
+                tied = (ratios <= ratios[r] + FLOAT_TOL).nonzero()[0]
+                r = min(tied.tolist(), key=basis.__getitem__)
             _pivot(T, r, col)
             basis[r] = col
         return "pivot_limit"
@@ -157,11 +190,18 @@ def _float_simplex(A, cost, b, ncols):
         return status, basis
     if sum(T[i, total] for i in range(m) if basis[i] >= ncols) > 1e-7:
         return "infeasible", basis
+    if bland:
+        for i in range(m):
+            if basis[i] >= ncols:
+                nonzero = (abs(T[i, :ncols]) > FLOAT_TOL).nonzero()[0]
+                if len(nonzero):
+                    _pivot(T, i, int(nonzero[0]))
+                    basis[i] = int(nonzero[0])
     obj2 = np.concatenate([[_float(v) for v in cost[:ncols]], np.zeros(m)])
     return run(obj2, ncols), basis
 
 
-def _float_dual(A, cost, b, ncols, basis):
+def _float_dual(A, cost, b, scale, ncols, basis):
     """Float dual simplex from ``basis`` over the structural and slack
     columns; returns (status, basis), status one of 'optimal', 'infeasible'
     or 'pivot_limit', or None when the basis is singular or not dual
@@ -174,7 +214,7 @@ def _float_dual(A, cost, b, ncols, basis):
     m=2 where a cold solve takes 103).  It enters the column minimising
     red_j / |T_rj| over T_rj < 0, with reduced costs within FLOAT_TOL of 0
     taken as 0, so that degenerate ties go to the smallest column."""
-    M = _dense(A, b, ncols, 0)
+    M = _dense(A, b, scale, ncols, 0)
     try:
         T = np.linalg.inv(M[:, basis]) @ M
     except np.linalg.LinAlgError:
@@ -201,7 +241,7 @@ def _float_dual(A, cost, b, ncols, basis):
     return "pivot_limit", basis
 
 
-def _reconstructed(A, cost, b, struct, tight):
+def _reconstructed(A, cost, b, scale, struct, tight):
     """Candidate (x over struct, y over tight) from float solves of the
     basis, each value rounded to the nearest rational with denominator at
     most MAX_DENOMINATOR; None if the float basis is singular.
@@ -215,9 +255,9 @@ def _reconstructed(A, cost, b, struct, tight):
     for k, r in enumerate(tight):
         for c, a in A[r].items():
             if c in pos:
-                B[k, pos[c]] = _float(a)
+                B[k, pos[c]] = a / scale[r]
     try:
-        xs = np.linalg.solve(B, [_float(b[r]) for r in tight])
+        xs = np.linalg.solve(B, [b[r] / scale[r] for r in tight])
         ys = np.linalg.solve(B.T, [_float(cost[c]) for c in struct])
     except np.linalg.LinAlgError:
         return None
@@ -227,49 +267,66 @@ def _reconstructed(A, cost, b, struct, tight):
             [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in ys.tolist()])
 
 
-def _check(A, cost, b, slack_of, struct, tight, xs, ys):
-    """Exact optimality check of a candidate on the sparse rows; returns
+def _check(A, cost, b, scale, slack_of, struct, tight, xs, ys):
+    """Exact optimality check of a candidate on the integer rows; returns
     (x, obj, y) or None.
 
     x is xs on the basic structural columns ``struct``, each basic slack
     (``slack_of``: row -> its basic slack column) follows from its row, and
-    every other column is 0; y is ys on the ``tight`` rows and 0 elsewhere.
-    Accepted only if x is feasible (tight rows met with equality, x_B and
-    basic slacks >= 0) and y prices every basic column at its cost and no
-    nonbasic column below it, which proves x and y optimal.
+    every other column is 0; y is ys on the ``tight`` rows (duals of the
+    caller's rows, A[r] / scale[r]) and 0 elsewhere.  Accepted only if x is
+    feasible (tight rows met with equality, x_B and basic slacks >= 0) and
+    y prices every basic column at its cost and no nonbasic column below
+    it, which proves x and y optimal.
+
+    The arithmetic is in ints: x is brought to one denominator dx, the
+    y_r / scale[r] to one denominator dy and the costs to one denominator
+    dc; Fractions are built only for the returned x, y and objective.
     """
-    x = [Fraction(0)] * len(cost)
+    if any(v < 0 for v in xs):
+        return None
+    dx = lcm(*(v.denominator for v in xs))
+    X = [0] * len(cost)
     for c, v in zip(struct, xs):
-        if v < 0:
-            return None
-        x[c] = v
+        X[c] = v.numerator * (dx // v.denominator)
+    x = [Fraction(0)] * len(cost)
     for i, row in enumerate(A):
-        act = sum(a * x[j] for j, a in row.items() if x[j])
+        act = sum(a * X[j] for j, a in row.items() if X[j])
         col = slack_of.get(i)
         if col is None:
-            if act != b[i]:
+            if act != b[i] * dx:
                 return None
         else:
-            v = (b[i] - act) / row[col]
-            if v < 0:
+            left = b[i] * dx - act  # = row[col] * (slack value) * dx
+            if left and (left < 0) != (row[col] < 0):
                 return None
-            x[col] = v
+            x[col] = Fraction(left, row[col] * dx)
+
+    duals = [(r, v.numerator, v.denominator * scale[r]) for r, v in zip(tight, ys) if v]
+    dy = lcm(*(d for _, _, d in duals))
+    priced = [0] * len(cost)  # dy * y.A_j
+    for r, n, d in duals:
+        f = n * (dy // d)
+        for j, a in A[r].items():
+            priced[j] += f * a
+    dc = lcm(*(q.denominator for q in cost))
+    C = [q.numerator * (dc // q.denominator) for q in cost]
+    basic = set(struct).union(slack_of.values())
+    for j, (p, cj) in enumerate(zip(priced, C)):
+        p, cj = p * dc, cj * dy
+        if p > cj or (p != cj and j in basic):
+            return None
+
+    for c, v in zip(struct, xs):
+        x[c] = v
     y = [Fraction(0)] * len(A)
-    priced = [Fraction(0)] * len(cost)  # y.A_j
     for r, v in zip(tight, ys):
         y[r] = v
-        if v:
-            for j, a in A[r].items():
-                priced[j] += v * a
-    basic = set(struct).union(slack_of.values())
-    for j, (p, c) in enumerate(zip(priced, cost)):
-        if p > c or (j in basic and p != c):
-            return None
-    obj = sum(cost[c] * x[c] for c in struct)
+    obj = Fraction(sum(C[c] * X[c] for c in struct), dc * dx)
     return x, obj, y
 
 
-def _certify(A, cost, b, ncols, basis, slack_cols):
+def _certify(A, cost, b, scale, ncols, basis, slack_cols):
     """Exact optimality proof of a candidate basis; returns (x, obj, y) or None.
 
     Basic slack columns are singletons, so the basis reduces to the tight
@@ -288,22 +345,23 @@ def _certify(A, cost, b, ncols, basis, slack_cols):
     tight = [r for r in range(m) if r not in slack_of]
     if len(tight) != len(struct):
         return None
-    cand = _reconstructed(A, cost, b, struct, tight)
+    cand = _reconstructed(A, cost, b, scale, struct, tight)
     if cand is None:
         return None
-    return _check(A, cost, b, slack_of, struct, tight, *cand)
+    return _check(A, cost, b, scale, slack_of, struct, tight, *cand)
 
 
-def _exact_simplex(A, cost, b, ncols):
-    """Two-phase tableau simplex over Fractions with Bland's rule."""
+def _exact_simplex(A, cost, b, scale, ncols):
+    """Two-phase tableau simplex over Fractions with Bland's rule, on the
+    caller's rows (each integer row divided by its scale)."""
     m = len(A)
     total = ncols + m
     T = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    for i, row in enumerate(A):
+    for i, (row, s) in enumerate(zip(A, scale)):
         for j, a in row.items():
-            T[i][j] = a
+            T[i][j] = Fraction(a, s)
         T[i][ncols + i] = Fraction(1)
-        T[i][total] = b[i]
+        T[i][total] = Fraction(b[i], s)
     basis = [ncols + i for i in range(m)]
 
     def pivot(r, col):
@@ -397,22 +455,24 @@ def solve_min(num_vars, c, rows, senses, rhs, start=None) -> LpSolution:
             raise LpUnbounded("negative cost with no constraints")
         return LpSolution(x=[Fraction(0)] * num_vars, objective=Fraction(0), duals=[],
                           basis=((), ()))
-    A, cost, b, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
+    A, cost, b, scale, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
 
     # only a float optimum is worth certifying; every other status (and a
     # failed certificate) passes to the next source of an answer
     result = None
     basis = None if start is None else _start_basis(start, num_vars, len(A), slack_cols)
     if basis is not None:
-        status, basis = _float_dual(A, cost, b, ncols, basis)
+        status, basis = _float_dual(A, cost, b, scale, ncols, basis)
         if status == "optimal":
-            result = _certify(A, cost, b, ncols, basis, slack_cols)
+            result = _certify(A, cost, b, scale, ncols, basis, slack_cols)
     if result is None:
-        status, basis = _float_simplex(A, cost, b, ncols)
+        status, basis = _float_simplex(A, cost, b, scale, ncols)
+        if status == "pivot_limit":  # Dantzig's rule cycled
+            status, basis = _float_simplex(A, cost, b, scale, ncols, bland=True)
         if status == "optimal":
-            result = _certify(A, cost, b, ncols, basis, slack_cols)
+            result = _certify(A, cost, b, scale, ncols, basis, slack_cols)
     if result is None:
-        result = _exact_simplex(A, cost, b, ncols)
+        result = _exact_simplex(A, cost, b, scale, ncols)
         basis = None
     else:
         basis = (tuple(sorted(col for col in basis if col not in slack_cols)),

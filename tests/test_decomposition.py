@@ -231,6 +231,15 @@ def test_min_beta_methods_agree_and_bound_feasibility(case):
         assert dec.feasibility_at_beta(inst, point, below).value < 1
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=small_instances_with_points())
+def test_min_alpha_methods_agree(case):
+    inst, point = case
+    alpha, dist, _ = dec.min_alpha(inst, point, method="cg")
+    assert dec.min_alpha(inst, point, method="enumerate")[0] == alpha
+    assert dec.verify_distribution(inst, dist, alpha, "gap", point=point).passes
+
+
 def test_min_beta_triangle():
     inst = triangle_instance()
     beta, d, _ = dec.min_beta(inst, triangle_point())

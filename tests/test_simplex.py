@@ -83,9 +83,9 @@ def test_certified_path_matches_exact_fallback():
             fast = "infeasible"
         except LpUnbounded:
             fast = "unbounded"
-        A, cost, b, flip, ncols, _ = simplex._standardize(n, c, rows, senses, rhs)
+        A, cost, b, scale, flip, ncols, _ = simplex._standardize(n, c, rows, senses, rhs)
         try:
-            slow = simplex._exact_simplex(A, cost, b, ncols)[1]
+            slow = simplex._exact_simplex(A, cost, b, scale, ncols)[1]
         except LpInfeasible:
             slow = "infeasible"
         except LpUnbounded:
@@ -98,8 +98,8 @@ def test_float_pivot_limit_is_not_optimal(monkeypatch):
     args = (2, [Fraction(4), Fraction(5)], rows, [">=", ">="], [3, 4])
     exact = solve_min(*args)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-    A, cost, b, _, ncols, _ = simplex._standardize(*args)
-    status, _ = simplex._float_simplex(A, cost, b, ncols)
+    A, cost, b, scale, _, ncols, _ = simplex._standardize(*args)
+    status, _ = simplex._float_simplex(A, cost, b, scale, ncols)
     assert status == "pivot_limit"
     capped = solve_min(*args)
     assert (capped.objective, capped.x, capped.duals) == (exact.objective, exact.x, exact.duals)
@@ -148,8 +148,8 @@ def lps(draw):
 def test_solve_min_against_exact_simplex(lp):
     n, c, rows, senses, rhs = lp
     sol = outcome(lambda: solve_min(*lp))
-    A, cost, b, _, ncols, _ = simplex._standardize(*lp)
-    slow = outcome(lambda: simplex._exact_simplex(A, cost, b, ncols))
+    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    slow = outcome(lambda: simplex._exact_simplex(A, cost, b, scale, ncols))
     if isinstance(slow, str):
         assert sol == slow
         return
@@ -180,12 +180,12 @@ def test_certify_accepts_only_optimal_bases(bound, lp):
     ones it accepts must come with an exact optimality proof.  With the
     bound at 1 most reconstructed candidates are wrong and the exact check
     has to catch them."""
-    A, cost, b, flip, ncols, slack_cols = simplex._standardize(*lp)
+    A, cost, b, scale, flip, ncols, slack_cols = simplex._standardize(*lp)
     saved = simplex.MAX_DENOMINATOR
     simplex.MAX_DENOMINATOR = bound
     try:
         for basis in combinations(range(ncols), len(A)):
-            result = simplex._certify(A, cost, b, ncols, list(basis), slack_cols)
+            result = simplex._certify(A, cost, b, scale, ncols, list(basis), slack_cols)
             if result is not None:
                 x, obj, y = result
                 assert_optimal(lp, x[:lp[0]], [-v if f else v for v, f in zip(y, flip)], obj)
@@ -217,7 +217,7 @@ def test_reconstruction_failure_falls_back_to_exact_simplex(monkeypatch):
     assert len(used) == 1
 
 
-def reference_float_simplex(A, cost, b, ncols):
+def reference_float_simplex(A, cost, b, scale, ncols):
     """The float simplex as first written, with a row-by-row pivot: the
     reference whose status and basis ``simplex._float_simplex`` must
     reproduce exactly."""
@@ -226,9 +226,9 @@ def reference_float_simplex(A, cost, b, ncols):
     T = np.zeros((m, total + 1))
     for i, row in enumerate(A):
         for j, a in row.items():
-            T[i, j] = float(a)
+            T[i, j] = float(Fraction(a, scale[i]))
         T[i, ncols + i] = 1.0
-        T[i, total] = float(b[i])
+        T[i, total] = float(Fraction(b[i], scale[i]))
     basis = [ncols + i for i in range(m)]
 
     def pivot(r, col):
@@ -265,15 +265,15 @@ def reference_float_simplex(A, cost, b, ncols):
     return run(obj2, allowed2), basis
 
 
-def reference_float_dual(A, cost, b, ncols, basis):
+def reference_float_dual(A, cost, b, scale, ncols, basis):
     """The float dual simplex with a row-by-row pivot: the reference whose
     status and basis ``simplex._float_dual`` must reproduce exactly."""
     m = len(A)
     M = np.zeros((m, ncols + 1))
     for i, row in enumerate(A):
         for j, a in row.items():
-            M[i, j] = float(a)
-        M[i, ncols] = float(b[i])
+            M[i, j] = float(Fraction(a, scale[i]))
+        M[i, ncols] = float(Fraction(b[i], scale[i]))
     try:
         T = np.linalg.inv(M[:, basis]) @ M
     except np.linalg.LinAlgError:
@@ -323,9 +323,9 @@ def test_float_simplex_matches_row_by_row_reference():
                      for j in rng.sample(range(n), rng.randint(1, n))} for _ in range(m)]
             senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 6)) for _ in range(m)]
-        A, cost, b, _, ncols, slack_cols = simplex._standardize(n, c, rows, senses, rhs)
-        got = simplex._float_simplex(A, cost, b, ncols)
-        assert got == reference_float_simplex(A, cost, b, ncols)
+        A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(n, c, rows, senses, rhs)
+        got = simplex._float_simplex(A, cost, b, scale, ncols)
+        assert got == reference_float_simplex(A, cost, b, scale, ncols)
         statuses.add(got[0])
         # the dual phase from the slack basis where every row has a slack,
         # else from a random choice of columns
@@ -334,8 +334,8 @@ def test_float_simplex_matches_row_by_row_reference():
         else:
             basis = rng.sample(range(ncols), len(A)) if ncols >= len(A) else None
         if basis is not None:
-            got = simplex._float_dual(A, cost, b, ncols, basis)
-            assert got == reference_float_dual(A, cost, b, ncols, basis)
+            got = simplex._float_dual(A, cost, b, scale, ncols, basis)
+            assert got == reference_float_dual(A, cost, b, scale, ncols, basis)
             dual_statuses.add(got[0])
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert dual_statuses == {"optimal", "infeasible", None}
@@ -370,8 +370,8 @@ def test_dual_pivot_limit_is_not_optimal(monkeypatch):
     slack_basis = ((), (0, 1))
     assert solve_min(*COVER, start=slack_basis).basis == ((0, 1), ())
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-    A, cost, b, _, ncols, slack_cols = simplex._standardize(*COVER)
-    status, _ = simplex._float_dual(A, cost, b, ncols, sorted(slack_cols))
+    A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*COVER)
+    status, _ = simplex._float_dual(A, cost, b, scale, ncols, sorted(slack_cols))
     assert status == "pivot_limit"
     capped = solve_min(*COVER, start=slack_basis)
     assert (capped.objective, capped.x, capped.duals) == (cold.objective, cold.x, cold.duals)
@@ -410,6 +410,154 @@ def covering_lps(draw):
 def test_warm_start_against_exact_simplex(case):
     lp, start = case
     sol = solve_min(*lp, start=start)
-    A, cost, b, _, ncols, _ = simplex._standardize(*lp)
-    assert sol.objective == simplex._exact_simplex(A, cost, b, ncols)[1]
+    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    assert sol.objective == simplex._exact_simplex(A, cost, b, scale, ncols)[1]
+    assert_optimal(lp, sol.x, sol.duals, sol.objective)
+
+
+@st.composite
+def wide_lps(draw):
+    """LPs whose coefficients mix ints, small fractions and numerators past
+    2^53 over large denominators, with every row sense and rhs of either
+    sign."""
+    coef = st.one_of(
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    c = [draw(coef) for _ in range(n)]
+    rows = [{j: draw(coef) for j in draw(st.sets(st.integers(0, n - 1), min_size=1))}
+            for _ in range(m)]
+    senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+    rhs = [draw(coef) for _ in range(m)]
+    return n, c, rows, senses, rhs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lp=wide_lps())
+def test_dense_is_the_float_of_the_callers_rows(lp):
+    """The float tableau of the integer standard form equals, bit for bit,
+    one built with float(Fraction) straight from the caller's rows: each
+    row negated where its rhs is negative, then one +-1 slack column per
+    inequality row in row order."""
+    n, c, rows, senses, rhs = lp
+    ncols = n + sum(sense != "=" for sense in senses)
+    want = np.zeros((len(rows), ncols + 1))
+    slack = n
+    for i, (row, sense, bi) in enumerate(zip(rows, senses, rhs)):
+        sign = -1 if bi < 0 else 1
+        for j, a in row.items():
+            want[i, j] = float(sign * Fraction(a))
+        if sense != "=":
+            want[i, slack] = float(sign * (1 if sense == "<=" else -1))
+            slack += 1
+        want[i, ncols] = float(abs(Fraction(bi)))
+    A, _, b, scale, _, got_ncols, _ = simplex._standardize(*lp)
+    assert got_ncols == ncols
+    got = simplex._dense(A, b, scale, ncols, 0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_check(A, cost, b, slack_of, struct, tight, xs, ys):
+    """The optimality check in Fraction arithmetic on the caller's rows
+    (slack entries +-1), as first written: the reference whose answer
+    ``simplex._check`` must reproduce exactly."""
+    x = [Fraction(0)] * len(cost)
+    for c, v in zip(struct, xs):
+        if v < 0:
+            return None
+        x[c] = v
+    for i, row in enumerate(A):
+        act = sum(a * x[j] for j, a in row.items() if x[j])
+        col = slack_of.get(i)
+        if col is None:
+            if act != b[i]:
+                return None
+        else:
+            v = (b[i] - act) / row[col]
+            if v < 0:
+                return None
+            x[col] = v
+    y = [Fraction(0)] * len(A)
+    priced = [Fraction(0)] * len(cost)  # y.A_j
+    for r, v in zip(tight, ys):
+        y[r] = v
+        if v:
+            for j, a in A[r].items():
+                priced[j] += v * a
+    basic = set(struct).union(slack_of.values())
+    for j, (p, c) in enumerate(zip(priced, cost)):
+        if p > c or (j in basic and p != c):
+            return None
+    obj = sum(cost[c] * x[c] for c in struct)
+    return x, obj, y
+
+
+@pytest.mark.parametrize("bound", [simplex.MAX_DENOMINATOR, 1])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lp=lps())
+def test_integer_check_matches_fraction_check(bound, lp):
+    """Every basis of the standard form, with its reconstructed candidate,
+    gets the same answer from the integer check as from the Fraction
+    check on the caller's rows.  With the bound at 1 most candidates are
+    wrong, so rejections are compared too."""
+    A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*lp)
+    rows = [{j: Fraction(a, s) for j, a in row.items()} for row, s in zip(A, scale)]
+    rhs = [Fraction(v, s) for v, s in zip(b, scale)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "MAX_DENOMINATOR", bound)
+        for basis in combinations(range(ncols), len(A)):
+            struct = [col for col in basis if col not in slack_cols]
+            slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
+            tight = [r for r in range(len(A)) if r not in slack_of]
+            if len(tight) != len(struct):
+                continue
+            cand = simplex._reconstructed(A, cost, b, scale, struct, tight)
+            if cand is None:
+                continue
+            assert simplex._check(A, cost, b, scale, slack_of, struct, tight, *cand) == \
+                reference_check(rows, cost, rhs, slack_of, struct, tight, *cand)
+
+
+@pytest.mark.parametrize("bound", [simplex.MAX_DENOMINATOR, 1])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lp=lps())
+def test_bland_rerun_after_pivot_limit(bound, lp):
+    """When Dantzig's phase reports 'pivot_limit', the float phase reruns
+    with Bland's rule and its basis is certified; the answer is the Bland
+    tableau's objective with a full exact certificate, and the tableau
+    still runs whenever the rerun's basis is not certified."""
+    events = []
+    float_simplex, certify, exact = simplex._float_simplex, simplex._certify, simplex._exact_simplex
+
+    def dantzig_stalls(*args, bland=False):
+        if not bland:
+            events.append("dantzig")
+            return "pivot_limit", None
+        status, basis = float_simplex(*args, bland=True)
+        events.append(("bland", status))
+        return status, basis
+
+    def spy_certify(*args):
+        result = certify(*args)
+        events.append("certified" if result else "rejected")
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "MAX_DENOMINATOR", bound)
+        mp.setattr(simplex, "_float_simplex", dantzig_stalls)
+        mp.setattr(simplex, "_certify", spy_certify)
+        mp.setattr(simplex, "_exact_simplex", lambda *a: events.append("exact") or exact(*a))
+        sol = outcome(lambda: solve_min(*lp))
+    (tag, rerun), certified = events[1], "certified" in events
+    assert events[0] == "dantzig" and tag == "bland"
+    assert (rerun == "optimal") == (certified or "rejected" in events)
+    assert ("exact" in events) == (not certified)
+    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    slow = outcome(lambda: exact(A, cost, b, scale, ncols))
+    if isinstance(slow, str):
+        assert sol == slow
+        return
+    assert sol.objective == slow[1]
     assert_optimal(lp, sol.x, sol.duals, sol.objective)
