@@ -20,7 +20,7 @@ from .exact import DEFAULT_IP_EDGE_CAP, gap, solve_ip
 from .gadget import gadget_tight_family, pcst_gadget_instance
 from .instance import (InstanceError, PcsfInstance, ScaleCapError, make_base,
                        read_frac_solution, read_instance, write_frac_solution,
-                       write_instance, write_instance_json)
+                       write_instance)
 from .layered import build_layered, canonical_point, layered_instance
 from .rational import format_rational, parse_field, parse_rational, rational_json, read_records
 from .rounding import (RoundingBoundError, best_threshold_round, threshold_round,
@@ -62,14 +62,16 @@ def _cmd_gen(args):
     if args.what == "layered":
         lc = _layered_from_args(args)
         inst = layered_instance(lc)
-        _write_inst(inst, args.output, args.json)
-        if args.point:
-            write_frac_solution(canonical_point(lc, args.point_mode), args.point)
+        # the point is built first: a mode the base does not allow writes no file
+        point = canonical_point(lc, args.point_mode) if args.point else None
+        _write_inst(inst, args.output)
+        if point is not None:
+            write_frac_solution(point, args.point)
         _emit({"nodes": lc.graph.num_nodes, "edges": lc.graph.num_edges,
                "pairs": inst.num_pairs, "n": lc.n, "l": lc.l, "m": lc.m, "k": lc.k})
     elif args.what == "gadget":
         inst, point = pcst_gadget_instance(args.k)
-        _write_inst(inst, args.output, args.json)
+        _write_inst(inst, args.output)
         if args.point:
             write_frac_solution(point, args.point)
         _emit({"nodes": inst.graph.num_nodes, "edges": inst.graph.num_edges,
@@ -77,18 +79,14 @@ def _cmd_gen(args):
     else:  # base
         base = make_base(args.base, path=args.base_file)
         inst = PcsfInstance(base, {e: Fraction(1) for e in range(base.num_edges)}, [], {})
-        _write_inst(inst, args.output, args.json)
+        _write_inst(inst, args.output)
         _emit({"nodes": base.num_nodes, "edges": base.num_edges,
                "degree": base.degree(0)})
     return 0
 
 
-def _write_inst(inst, path, as_json):
-    if path is None:
-        return
-    if as_json:
-        write_instance_json(inst, path)
-    else:
+def _write_inst(inst, path):
+    if path is not None:
         write_instance(inst, path)
 
 
@@ -258,7 +256,10 @@ def _cmd_decompose(args):
 def _parse_range(text):
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise InstanceError(f"empty range {text!r}: lo is above hi")
+        return values
     return [int(text)]
 
 
@@ -326,19 +327,16 @@ def build_parser():
     g.add_argument("--point", help="write the canonical point here")
     g.add_argument("--point-mode", default="gap", choices=["gap", "lmp"])
     g.add_argument("-o", "--output")
-    g.add_argument("--json", action="store_true")
     g.set_defaults(func=_cmd_gen)
     g = gen.add_parser("gadget")
     g.add_argument("--k", type=int, default=6)
     g.add_argument("--point")
     g.add_argument("-o", "--output")
-    g.add_argument("--json", action="store_true")
     g.set_defaults(func=_cmd_gen)
     g = gen.add_parser("base")
     g.add_argument("--base", default="k4")
     g.add_argument("--base-file")
     g.add_argument("-o", "--output")
-    g.add_argument("--json", action="store_true")
     g.set_defaults(func=_cmd_gen)
 
     lp = sub.add_parser("lp").add_subparsers(dest="what", required=True)

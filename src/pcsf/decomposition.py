@@ -1,8 +1,7 @@
 """Distributions over forests: dominating convex decompositions by column
 generation with exact integer pricing, the explicit replicated-tree
-distribution on the layered graph, spanning-tree decompositions of the
-base graph, witness-node / chain tracing, and the closed-form bound
-curves for the limit arguments.
+distribution on the layered graph, witness-node / chain tracing, and the
+closed-form bound curves for the limit arguments.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from fractions import Fraction
 from . import simplex
 from .cutlp import check_feasible
 from .exact import DEFAULT_IP_EDGE_CAP, ENUM_EDGE_CAP, enumerate_forests, solve_ip
-from .graph import (Graph, GraphError, component_labels, is_forest, minimum_spanning_tree,
-                    spanning_forest)
-from .instance import FracSolution, InstanceError, PcsfInstance, regular_degree
+from .graph import Graph, component_labels, is_forest, minimum_spanning_tree, spanning_forest
+from .instance import FracSolution, InstanceError, PcsfInstance
 from .layered import LayeredConstruction, canonical_point, layered_pairs
 from .rational import (INF, format_rational, parse_field, parse_rational, rational_json,
                        read_records)
@@ -50,9 +48,6 @@ class ForestDistribution:
             total += weight
         if total != 1:
             raise InstanceError(f"weights sum to {total}, not 1")
-
-    def support(self):
-        return [forest for forest, _ in self.entries]
 
     def edge_marginals(self):
         out = {}
@@ -187,45 +182,6 @@ def verify_distribution(subject, dist: ForestDistribution, scale, mode: str,
                               edge_failures=edge_failures, pair_failures=pair_failures)
 
 
-# --- spanning-tree decomposition of the base graph ----------------------
-
-def spanning_tree_decomposition(P: Graph) -> ForestDistribution:
-    """Distribution over spanning trees with every marginal <= 2(n-1)/(d n).
-
-    For a d-regular P the uniform target vector sums to n-1, so it lies in
-    the spanning tree polytope; the uniform distribution is used when it
-    already meets the target, otherwise the unscaled dominance LP of
-    ``_dominance_master`` is solved by column generation with
-    minimum-spanning-tree pricing (its row sum(lambda) <= 1 is redundant
-    here: every tree has n-1 edges and the targets sum to n-1).
-    """
-    n = P.num_nodes
-    target = Fraction(2 * (n - 1), regular_degree(P) * n)
-
-    if P.num_edges <= ENUM_EDGE_CAP:
-        trees = [t for t in enumerate_forests(P) if len(t) == n - 1]
-        # with no tree at all, column generation's first spanning tree raises
-        if trees:
-            uniform = ForestDistribution([(t, Fraction(1, len(trees))) for t in trees])
-            if all(v <= target for v in uniform.edge_marginals().values()):
-                return uniform
-
-    edges = range(P.num_edges)
-    targets = dict.fromkeys(edges, target)
-    tree = minimum_spanning_tree(P, dict.fromkeys(edges, Fraction(1)))
-    columns = []
-    while True:
-        columns.append(Column(frozenset(tree), frozenset()))
-        value, weights, d, _, level = _dominance_master(columns, edges, targets, [],
-                                                        scaled=False, scale_z=False)
-        tree = minimum_spanning_tree(P, d)
-        if sum(d[e] for e in tree) >= level:
-            if value != 1:
-                raise GraphError("target marginals are not achievable")
-            return ForestDistribution([(col.forest, w) for col, w in zip(columns, weights)
-                                       if w > 0])
-
-
 # --- explicit distribution on the layered graph -------------------------
 
 def explicit_gap_distribution(lc: LayeredConstruction, alpha) -> ForestDistribution:
@@ -322,8 +278,7 @@ def _dominance_master(columns, eplus, x, zrows, scaled, scale_z):
 
     for every support edge e and every row (i, z_i) of ``zrows``.  Scaled:
     min s with sum lam = 1 (the alpha and beta LPs).  Unscaled: max sum lam
-    <= 1 (the feasibility LP and the spanning-tree decomposition), solved as
-    min -sum lam.
+    <= 1 (the feasibility LP), solved as min -sum lam.
 
     Returns (value, weights, d, rho, level): the optimal dual prices the
     edges by d and the rows' pairs by rho, and a column improves the LP iff
@@ -439,26 +394,21 @@ class FeasibilityResult:
     witness: DualWitness | None
 
 
-def _feasibility(inst: PcsfInstance, x_target, z_target,
-                 edge_cap: int = DEFAULT_IP_EDGE_CAP) -> FeasibilityResult:
-    """Packing LP: max total weight of a sub-convex mixture dominated by
-    (x_target, z_target); value 1 means a full distribution exists and the
-    optimal dual is a certificate otherwise."""
-    value, dist, witness = _dominate(inst, x_target, z_target, scaled=False,
-                                     scale_z=False, method="cg", edge_cap=edge_cap)
-    return FeasibilityResult(value=value, dist=dist if value == 1 else None, witness=witness)
-
-
 def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta,
                         edge_cap: int = DEFAULT_IP_EDGE_CAP) -> FeasibilityResult:
-    """Does a mixture dominated by (beta*x, z) exist?  Value 1 iff yes."""
+    """Does a mixture dominated by (beta*x, z) exist?  The packing LP: max
+    total weight of a sub-convex mixture dominated by (beta*x, z); value 1
+    means a full distribution exists and the optimal dual is a certificate
+    otherwise."""
     beta = Fraction(beta)
     if beta < 0:
         raise InstanceError("beta must be nonnegative")
     x_target = {e: beta * point.x.get(e, Fraction(0))
                 for e in range(inst.graph.num_edges)}
     z_target = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
-    return _feasibility(inst, x_target, z_target, edge_cap=edge_cap)
+    value, dist, witness = _dominate(inst, x_target, z_target, scaled=False,
+                                     scale_z=False, method="cg", edge_cap=edge_cap)
+    return FeasibilityResult(value=value, dist=dist if value == 1 else None, witness=witness)
 
 
 def witness_costs_from_dual(w: DualWitness, mode: str = "gap", beta=None) -> PcsfInstance:
@@ -630,11 +580,13 @@ def bound_beta(l: int, n: int = None, k: int = None) -> Fraction:
     2(l+1)/(l n): solving 2/l = ((b-2)/l + 2(l+1)/(l n))*s + t with
     s = sum_{i<=k} (2/l)^i and t = (2/l)^{k+1} gives
     b = 2 + l*(2/l - t)/s - 2(l+1)/n.  As n,k grow this tends to
-    2 + 2(l-2)/l = 4 - 4/l.
+    2 + 2(l-2)/l = 4 - 4/l, the value returned when neither is given.
     """
     if l < 3:
         raise InstanceError("bound_beta needs l >= 3")
-    if n is None or k is None:
+    if (n is None) != (k is None):
+        raise InstanceError("bound_beta needs both n and k, or neither")
+    if n is None:
         return 4 - Fraction(4, l)
     if n < 1 or k < 0:
         raise InstanceError("bound_beta needs n >= 1, k >= 0")
@@ -643,37 +595,3 @@ def bound_beta(l: int, n: int = None, k: int = None) -> Fraction:
     t = r ** (k + 1)
     return 2 + l * (Fraction(2, l) - t) / s - Fraction(2 * (l + 1)) / n
 
-
-# --- two-value LMP mixture ----------------------------------------------
-
-def two_value_lmp_distribution(inst: PcsfInstance, point: FracSolution,
-                               edge_cap: int = DEFAULT_IP_EDGE_CAP):
-    """For z two-valued in {0, gamma}: mix, with weight gamma, a
-    distribution dominated by 2x that connects the z = 0 pairs and, with
-    weight 1-gamma, one dominated by 2x/(1-gamma) that connects all pairs.
-    The mixture is dominated by ((2+2*gamma)*x, z); returns (dist, 2+2*gamma).
-    """
-    values = sorted({v for v in point.z.values() if v != 0})
-    if len(values) != 1:
-        raise InstanceError("point is not two-valued: z must take values {0, gamma}")
-    gamma = values[0]
-    if not 0 < gamma < 1:
-        raise InstanceError("two-value mixture needs 0 < gamma < 1")
-
-    x = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
-    z_zero = {i: (Fraction(0) if point.z.get(i, Fraction(0)) == 0 else Fraction(1))
-              for i in range(inst.num_pairs)}
-    pay = _feasibility(inst, {e: 2 * v for e, v in x.items()}, z_zero, edge_cap=edge_cap)
-    if pay.dist is None:
-        raise DecompositionError(
-            f"no distribution under 2x connects the z=0 pairs (value {pay.value})")
-    connect = _feasibility(inst, {e: 2 * v / (1 - gamma) for e, v in x.items()},
-                           {i: Fraction(0) for i in range(inst.num_pairs)},
-                           edge_cap=edge_cap)
-    if connect.dist is None:
-        raise DecompositionError(
-            f"no distribution under 2x/(1-gamma) connects all pairs (value {connect.value})")
-
-    entries = [(forest, gamma * w) for forest, w in pay.dist.entries]
-    entries += [(forest, (1 - gamma) * w) for forest, w in connect.dist.entries]
-    return ForestDistribution(entries), 2 + 2 * gamma

@@ -179,8 +179,7 @@ def edge_connectivity(g: Graph) -> int:
     """Global edge connectivity with unit capacities; 0 if disconnected."""
     if g.num_nodes <= 1:
         return 0
-    comps = components(g, set(range(g.num_edges)))
-    if len(comps) > 1:
+    if len(set(component_labels(g, range(g.num_edges)))) > 1:
         return 0
     unit = scale_capacities(g, dict.fromkeys(range(g.num_edges), 1))
     best = None
@@ -190,23 +189,6 @@ def edge_connectivity(g: Graph) -> int:
         if best is None or value < best:
             best = value
     return int(best)
-
-
-def components(g: Graph, f) -> list:
-    """Connected components of (V, f) as a list of node sets.
-
-    ``f`` is a set of edge ids; classes are ordered by smallest member.
-    """
-    uf = UnionFind(g.num_nodes)
-    for eid in sorted(f):
-        u, v = g.edges[eid]
-        uf.union(u, v)
-    groups = {}
-    for node in range(g.num_nodes):
-        groups.setdefault(uf.find(node), []).append(node)
-    comps = [set(nodes) for nodes in groups.values()]
-    comps.sort(key=min)
-    return comps
 
 
 def component_labels(g: Graph, f) -> list:

@@ -1,8 +1,7 @@
-"""PCSF instance model, fractional points, and the text/JSON file formats."""
+"""PCSF instance model, fractional points, and their text file formats."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -91,18 +90,6 @@ class FracSolution:
     x: dict = field(default_factory=dict)
     z: dict = field(default_factory=dict)
 
-    def validate_for(self, inst: PcsfInstance):
-        if set(self.x) != set(range(inst.graph.num_edges)):
-            raise InstanceError("x domain does not match instance edges")
-        if set(self.z) != set(range(inst.num_pairs)):
-            raise InstanceError("z domain does not match instance pairs")
-        for i, v in self.z.items():
-            if not (0 <= v <= 1):
-                raise InstanceError(f"z[{i}] outside [0,1]")
-        for e, v in self.x.items():
-            if v < 0:
-                raise InstanceError(f"x[{e}] negative")
-
 
 # --- file formats -------------------------------------------------------
 
@@ -117,10 +104,14 @@ def write_instance(inst: PcsfInstance, path):
                      f"{format_rational(inst.penalties[i])}\n")
 
 
-def _build_instance(records) -> PcsfInstance:
-    """Instance from ``(where, [kind, u, v, value])`` records in file order,
-    kind ``edge`` (value a cost) or ``pair`` (value a penalty); nodes are
-    named by strings and numbered by first appearance."""
+def read_instance(path) -> PcsfInstance:
+    """Instance from a ``pcsf 1`` file of ``edge u v cost`` and ``pair s t
+    penalty`` lines; nodes are named by strings and numbered by first
+    appearance."""
+    records = read_records(path)
+    where, header = next(records, (str(path), None))
+    if header != ["pcsf", "1"]:
+        raise InstanceError(f"{where}: expected 'pcsf 1' header")
     ids = {}
     edges, costs, pairs, penalties = [], {}, [], {}
     for where, fields in records:
@@ -136,40 +127,6 @@ def _build_instance(records) -> PcsfInstance:
             pairs.append((u, v))
     return PcsfInstance(Graph(len(ids), edges), costs, pairs, penalties,
                         node_names=list(ids))
-
-
-def read_instance(path) -> PcsfInstance:
-    records = read_records(path)
-    where, header = next(records, (str(path), None))
-    if header != ["pcsf", "1"]:
-        raise InstanceError(f"{where}: expected 'pcsf 1' header")
-    return _build_instance(records)
-
-
-def write_instance_json(inst: PcsfInstance, path):
-    doc = {
-        "version": 1,
-        "edges": [
-            {"u": inst.node_names[u], "v": inst.node_names[v],
-             "cost": format_rational(inst.costs[eid])}
-            for eid, (u, v) in enumerate(inst.graph.edges)
-        ],
-        "pairs": [
-            {"s": inst.node_names[s], "t": inst.node_names[t],
-             "penalty": format_rational(inst.penalties[i])}
-            for i, (s, t) in enumerate(inst.pairs)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def read_instance_json(path) -> PcsfInstance:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return _build_instance(
-        [(path, ["edge", str(e["u"]), str(e["v"]), str(e["cost"])]) for e in doc["edges"]]
-        + [(path, ["pair", str(p["s"]), str(p["t"]), str(p["penalty"])]) for p in doc["pairs"]])
 
 
 def write_frac_solution(sol: FracSolution, path):

@@ -24,11 +24,6 @@ class IntegralSolution:
     objective: Fraction | None   # None when an infinite-penalty pair is cut off
     ratio_bound: Fraction | None = None  # the proven ratio a rounding checked it against
 
-    def lmp_objective(self, beta) -> Fraction | None:
-        if self.objective is None:
-            return None
-        return self.cost + Fraction(beta) * self.penalty
-
 
 def forest_solution(inst: PcsfInstance, forest) -> IntegralSolution:
     """Evaluate an acyclic edge set against the instance."""
@@ -188,8 +183,3 @@ def mu_bound(gamma):
     den = 2 * gamma * gamma - gamma + 1
     return Fraction(2) / den, 2 * gamma / den
 
-
-def evaluate(inst: PcsfInstance, forest, beta):
-    """(cost, penalty, objective, lmp_objective) of a forest."""
-    sol = forest_solution(inst, forest)
-    return sol.cost, sol.penalty, sol.objective, sol.lmp_objective(beta)

@@ -45,7 +45,7 @@ def test_gen_gadget_and_base(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["edges"] == 96
     code, out, _ = run(capsys, "gen", "base", "--base", "prism",
-                       "-o", str(tmp_path / "p.json"), "--json")
+                       "-o", str(tmp_path / "p.pcsf"))
     assert code == 0
     assert json.loads(out)["degree"] == 3
 
@@ -168,6 +168,28 @@ def test_bounds_beta(capsys):
     assert json.loads(out)["bound"]["exact"] == "3"
 
 
+def test_bounds_validation_errors_write_nothing(tmp_path, capsys):
+    # an empty lo:hi range, and n without k or k without n in bounds beta
+    csv_path = tmp_path / "curve.csv"
+    for argv in (["alpha", "--n", "5:3", "--k", "1"],
+                 ["beta", "--l", "3", "--n", "5:3", "--k", "1"],
+                 ["beta", "--l", "3", "--n", "5"],
+                 ["beta", "--l", "3", "--k", "1"]):
+        code, _, err = run(capsys, "bounds", *argv, "--csv", str(csv_path))
+        assert code == 2
+        assert json.loads(err)["type"] == "validation"
+        assert not csv_path.exists()
+
+
+def test_gen_layered_point_mode_error_writes_nothing(tmp_path, capsys):
+    out_path, point_path = tmp_path / "i.pcsf", tmp_path / "p.sol"
+    code, _, err = run(capsys, "gen", "layered", "--base", "complete(5)", "--m", "2",
+                       "-o", str(out_path), "--point", str(point_path))
+    assert code == 2
+    assert "3-regular" in json.loads(err)["error"]
+    assert not out_path.exists() and not point_path.exists()
+
+
 def test_round_broken_guarantee_exit_code(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "tri.pcsf"
     inst.write_text("pcsf 1\nedge a b 10\nedge b c 10\nedge a c 1\npair a c 100\n")
@@ -212,7 +234,8 @@ def test_removed_options_are_unknown(tmp_path, capsys):
     inst = write_triangle(tmp_path)
     for argv in (["lp", "solve", inst, "--mode", "tol"],
                  ["--seed", "1", "lp", "solve", inst],
-                 ["gen", "layered", "--scheme", "unit"]):
+                 ["gen", "layered", "--scheme", "unit"],
+                 ["gen", "base", "--json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from pcsf import decomposition as dec
 from pcsf.cutlp import solve_lp
-from pcsf.exact import ENUM_EDGE_CAP, solve_ip
-from pcsf.graph import Graph, is_forest
+from pcsf.exact import solve_ip
+from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
 from pcsf.layered import build_layered, canonical_point
 from pcsf.rational import INF
@@ -22,15 +22,6 @@ def triangle_instance(penalty=Fraction(1)):
 def triangle_point():
     return FracSolution(x={0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(1, 2)},
                         z={0: Fraction(0)})
-
-
-def c4_two_value():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    inst = PcsfInstance(g, {e: Fraction(1) for e in range(4)},
-                        [(0, 1), (0, 2)], {0: Fraction(3), 1: Fraction(3)})
-    point = FracSolution(x={e: Fraction(1, 2) for e in range(4)},
-                         z={0: Fraction(0), 1: Fraction(1, 3)})
-    return inst, point
 
 
 def random_instance_with_point(rng):
@@ -93,44 +84,6 @@ def test_distribution_file_round_trip(tmp_path):
     dec.write_distribution(d, path)
     back = dec.read_distribution(path)
     assert back.entries == d.entries
-
-
-# --- spanning tree decomposition ------------------------------------------
-
-def test_k4_uniform_tree_decomposition():
-    d = dec.spanning_tree_decomposition(make_base("k4"))
-    assert len(d.entries) == 16
-    assert set(d.edge_marginals().values()) == {Fraction(1, 2)}
-
-
-def test_prism_tree_decomposition():
-    P = make_base("prism")
-    d = dec.spanning_tree_decomposition(P)
-    d.validate(P)
-    target = Fraction(2 * (6 - 1), 3 * 6)
-    assert all(v <= target for v in d.edge_marginals().values())
-    assert all(len(f) == 5 for f in d.support())
-
-
-def test_complete7_tree_decomposition_by_column_generation():
-    P = make_base("complete(7)")
-    assert P.num_edges > ENUM_EDGE_CAP  # no uniform check: column generation runs
-    d = dec.spanning_tree_decomposition(P)
-    assert sum(w for _, w in d.entries) == 1
-    assert all(len(f) == 6 and is_forest(P, f) for f in d.support())
-    assert all(v <= Fraction(2, 7) for v in d.edge_marginals().values())
-
-
-def test_tree_decomposition_needs_regular_graph():
-    from pcsf.graph import GraphError
-    with pytest.raises(GraphError):
-        dec.spanning_tree_decomposition(Graph(3, [(0, 1), (1, 2)]))
-
-
-def test_tree_decomposition_of_disconnected_regular_graph():
-    from pcsf.graph import GraphError
-    with pytest.raises(GraphError, match="disconnected"):
-        dec.spanning_tree_decomposition(Graph(4, [(0, 1), (2, 3)]))
 
 
 # --- explicit distribution and verification -------------------------------
@@ -298,28 +251,6 @@ def test_witness_rejects_degenerate_dual():
             mode="lmp")  # lmp needs beta
 
 
-# --- two-value lmp mixture ------------------------------------------------
-
-def test_two_value_lmp_distribution():
-    inst, point = c4_two_value()
-    d, beta = dec.two_value_lmp_distribution(inst, point)
-    assert beta == 2 + 2 * Fraction(1, 3)
-    d.validate(inst.graph)
-    marg = d.edge_marginals()
-    assert all(marg.get(e, Fraction(0)) <= beta * point.x[e]
-               for e in range(inst.graph.num_edges))
-    probs = d.pair_probs(inst.graph, inst.pairs)
-    assert probs[0] == 1                      # z = 0 pair always connected
-    assert probs[1] >= 1 - point.z[1]
-
-
-def test_two_value_lmp_requires_two_values():
-    inst = triangle_instance()
-    flat = FracSolution(x={e: Fraction(1) for e in range(3)}, z={0: Fraction(0)})
-    with pytest.raises(InstanceError):
-        dec.two_value_lmp_distribution(inst, flat)
-
-
 # --- witness nodes and chain tracing --------------------------------------
 
 def test_trim_support_removes_stranded_components():
@@ -365,6 +296,13 @@ def test_bound_alpha_values():
     assert 0 < dev < Fraction(1, 10**5)
     with pytest.raises(InstanceError):
         dec.bound_alpha(0, 1)
+
+
+def test_bound_beta_needs_both_n_and_k():
+    with pytest.raises(InstanceError):
+        dec.bound_beta(3, n=5)
+    with pytest.raises(InstanceError):
+        dec.bound_beta(3, k=1)
 
 
 def test_bound_alpha_monotone_grid():

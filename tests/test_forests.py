@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pcsf import decomposition as dec
 from pcsf.exact import ScaleCapError, enumerate_forests
-from pcsf.graph import Graph, components, is_forest, spanning_forest
+from pcsf.graph import Graph, component_labels, is_forest, spanning_forest
 from pcsf.layered import build_layered
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -77,7 +77,7 @@ def test_spanning_forest_any_order_spans_components(data):
     order = data.draw(st.permutations(range(g.num_edges)))
     forest = spanning_forest(g, order)
     assert is_forest(g, forest)
-    assert components(g, forest) == components(g, set(range(g.num_edges)))
+    assert component_labels(g, forest) == component_labels(g, range(g.num_edges))
 
 
 def test_spanning_trees_triangle():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsf.graph import (Graph, GraphError, UnionFind, component_labels, components,
+from pcsf.graph import (Graph, GraphError, UnionFind, component_labels,
                         cut_edges, edge_connectivity, is_forest, min_cut,
                         minimum_spanning_tree, scale_capacities)
 
@@ -143,8 +143,6 @@ def test_min_cut_matches_brute_force(case):
 
 def test_components_and_labels():
     g = Graph(4, [(0, 1), (2, 3)])
-    comps = components(g, {0, 1})
-    assert comps == [{0, 1}, {2, 3}]
     labels = component_labels(g, {0})
     assert labels[0] == labels[1]
     assert labels[2] != labels[0]

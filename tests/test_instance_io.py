@@ -4,8 +4,8 @@ import pytest
 
 from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base,
-                           read_frac_solution, read_instance, read_instance_json,
-                           write_frac_solution, write_instance, write_instance_json)
+                           read_frac_solution, read_instance, write_frac_solution,
+                           write_instance)
 from pcsf.rational import INF, format_rational, parse_penalty, parse_rational
 
 
@@ -52,14 +52,6 @@ def test_text_round_trip(tmp_path):
     assert inst.structurally_equal(back)
 
 
-def test_json_round_trip(tmp_path):
-    inst = small_instance()
-    path = tmp_path / "inst.json"
-    write_instance_json(inst, path)
-    back = read_instance_json(path)
-    assert inst.structurally_equal(back)
-
-
 def test_text_format_errors(tmp_path):
     path = tmp_path / "bad.pcsf"
     path.write_text("edge a b 1\n")
@@ -76,16 +68,6 @@ def test_frac_solution_round_trip(tmp_path):
     write_frac_solution(sol, path)
     back = read_frac_solution(path)
     assert back.x == sol.x and back.z == sol.z
-
-
-def test_frac_solution_validate():
-    inst = small_instance()
-    sol = FracSolution(x={0: Fraction(0), 1: Fraction(0), 2: Fraction(0)},
-                       z={0: Fraction(0), 1: Fraction(0)})
-    sol.validate_for(inst)
-    sol.z[0] = Fraction(3, 2)
-    with pytest.raises(InstanceError):
-        sol.validate_for(inst)
 
 
 def test_make_base_kinds():

@@ -55,8 +55,8 @@ def _opens_for_reading(node):
 
 def test_files_are_read_only_by_the_shared_readers():
     # every text format goes through rational.read_records, which owns the
-    # line grammar; the JSON instance reader is the one other reader
-    readers = {"read_records", "read_instance_json"}
+    # line grammar
+    readers = {"read_records"}
     found = []
 
     def visit(node, function):
@@ -71,6 +71,37 @@ def test_files_are_read_only_by_the_shared_readers():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     assert not found, f"files opened for reading outside the shared readers: {found}"
+
+
+def _definitions(tree):
+    # module-level functions and classes, and the non-dunder methods of
+    # those classes
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (sub for sub in node.body
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__")))
+
+
+def test_every_definition_is_read():
+    # a definition that only its own unit tests read proves nothing: a read
+    # counts only in src or in the claim tests, and not inside the
+    # definition itself; a name or attribute with its name is a read
+    paths = sorted(SRC.glob("*.py")) + [Path(__file__).resolve().parent / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reads = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _definitions(trees[path]):
+            if not any(name == node.name
+                       and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for where, line, name in reads):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"definitions nothing but their own tests read: {found}"
 
 
 def test_every_parameter_is_read():

@@ -8,7 +8,7 @@ from pcsf.graph import Graph
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance
 from pcsf.rational import INF
 from pcsf import rounding
-from pcsf.rounding import (RoundingBoundError, best_threshold_round, evaluate,
+from pcsf.rounding import (RoundingBoundError, best_threshold_round,
                            forest_solution, gw_steiner_forest, mu_bound,
                            threshold_round, two_value_gamma, two_value_round)
 
@@ -59,7 +59,6 @@ def test_forest_solution_infinite_pair_cut_off():
     inst = PcsfInstance(g, {0: Fraction(1)}, [(0, 1)], {0: INF})
     sol = forest_solution(inst, set())
     assert sol.objective is None
-    assert sol.lmp_objective(2) is None
 
 
 def test_gw_connects_required_pairs():
@@ -164,8 +163,3 @@ def test_mu_bound_values():
     with pytest.raises(InstanceError):
         mu_bound(Fraction(1, 2))
 
-
-def test_evaluate():
-    inst = triangle_instance(penalty=Fraction(5))
-    cost, penalty, obj, lmp = evaluate(inst, set(), Fraction(2))
-    assert (cost, penalty, obj, lmp) == (0, 5, 5, 10)
