@@ -142,9 +142,10 @@ def _cmd_lp(args):
         violated = check_feasible(inst, point)
         doc = {"feasible": violated is None}
         if violated is not None:
+            side = None if violated.side is None else [inst.node_names[v]
+                                                       for v in sorted(violated.side)]
             doc["violated"] = {"kind": violated.kind, "pair": violated.pair,
-                               "side": sorted(violated.side) if violated.side else None,
-                               "edge": violated.edge}
+                               "side": side, "edge": violated.edge}
         _emit(doc)
         return 0
     # verify-vertex

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .graph import component_labels, cut_edges, min_cut, scale_capacities
+from .graph import block_cut_forest, component_labels, cut_edges, min_cut, scale_capacities
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -57,13 +57,15 @@ class LpResult:
     iterations: int
 
 
-def _violated_cuts(inst: PcsfInstance, x, z, pairs):
+def _violated_cuts(inst: PcsfInstance, x, z, pairs, forest):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
     in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
     A pair's flow stops once it reaches 1 - z_i, which proves no such side.
-    x is checked and scaled to ints once, for all the pairs."""
+    x is checked and scaled to ints once, for all the pairs; ``forest`` is
+    the graph's block-cut forest, which confines each flow to the blocks
+    between the pair."""
     g = inst.graph
-    cap = scale_capacities(g, x)
+    cap = scale_capacities(g, x, forest)
     for i in pairs:
         s, t = inst.pairs[i]
         _, side = min_cut(g, cap, s, t, need=1 - z.get(i, 0))
@@ -80,7 +82,8 @@ def check_feasible(inst: PcsfInstance, point: FracSolution):
     for i in range(inst.num_pairs):
         if point.z.get(i, Fraction(0)) < 0:
             return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
+    forest = block_cut_forest(inst.graph)
+    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs), forest):
         return CutConstraint(pair=i, side=side)
     return None
 
@@ -139,6 +142,7 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     # its basic structural columns, and the cuts whose slack is nonbasic;
     # every other cut (a new one included) starts with its slack basic
     basic_cols, bound = (), set()
+    forest = block_cut_forest(g)  # of all of g: a round's support is a subgraph
     iterations = 0
     while True:
         live = list(cuts)
@@ -166,7 +170,7 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         d = lcm(*(v.denominator for v in sol.x))
         X = [v.numerator * (d // v.denominator) for v in sol.x]
         tight = [key for key, (row, b) in cuts.items() if sum(X[j] for j in row) == b * d]
-        violated = list(_violated_cuts(inst, x, z, open_pairs))
+        violated = list(_violated_cuts(inst, x, z, open_pairs, forest))
         if not violated:
             if pool is not None:
                 pool[:] = tight

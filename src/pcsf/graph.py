@@ -81,17 +81,141 @@ class UnionFind:
         return self.find(u) == self.find(v)
 
 
+class BlockCutForest(NamedTuple):
+    """The blocks (biconnected components) of ``graph`` and their block-cut
+    forest.  Tree nodes 0..B-1 are the blocks, numbered as ``edge_block``
+    gives them; tree nodes B.. are the cut vertices.
+
+    ``edge_block[eid]`` is the block of each edge, ``node_tree[v]`` the tree
+    node of graph node v (its own if v is a cut vertex, else its one block,
+    -1 if v has no edge), ``parent`` and ``depth`` root each tree at its
+    first node, and ``exits[b]`` lists the arcs out of block b: the arcs at
+    b's cut vertices along edges of other blocks."""
+
+    graph: Graph
+    edge_block: list
+    node_tree: list
+    parent: list
+    depth: list
+    exits: list
+
+
+def block_cut_forest(g: Graph) -> BlockCutForest:
+    """Blocks by an iterative Hopcroft-Tarjan depth-first search, then the
+    forest of blocks and cut vertices.  Parallel edges share a block."""
+    n = g.num_nodes
+    edge_block = [-1] * g.num_edges
+    order = [-1] * n  # discovery index, -1 while unvisited
+    low = [0] * n
+    edge_stack = []
+    num_blocks = 0
+    count = 0
+    for root in range(n):
+        if order[root] >= 0 or not g.adj[root]:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, iter(g.adj[root]))]  # (node, edge it was entered by, arcs left)
+        while stack:
+            v, entry, arcs = stack[-1]
+            for arc, w in arcs:
+                eid = arc >> 1
+                if eid == entry:
+                    continue
+                if order[w] < 0:  # tree edge: descend
+                    edge_stack.append(eid)
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append((w, eid, iter(g.adj[w])))
+                    break
+                if order[w] < order[v]:  # back edge to an ancestor
+                    edge_stack.append(eid)
+                    low[v] = min(low[v], order[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= order[u]:  # u separates v's subtree: pop its block
+                    while True:
+                        e = edge_stack.pop()
+                        edge_block[e] = num_blocks
+                        if e == entry:
+                            break
+                    num_blocks += 1
+
+    node_tree = [-1] * n  # for now, the first block met at each node
+    cut_blocks = {}  # cut vertex -> its blocks
+    for eid, ends in enumerate(g.edges):
+        b = edge_block[eid]
+        for v in ends:
+            if node_tree[v] < 0:
+                node_tree[v] = b
+            elif node_tree[v] != b:
+                cut_blocks.setdefault(v, {node_tree[v]}).add(b)
+    tree_adj = [[] for _ in range(num_blocks)]
+    exits = [[] for _ in range(num_blocks)]
+    for v in sorted(cut_blocks):
+        node_tree[v] = len(tree_adj)
+        tree_adj.append(sorted(cut_blocks[v]))
+        for b in tree_adj[-1]:
+            tree_adj[b].append(node_tree[v])
+            exits[b] += [arc for arc, _ in g.adj[v] if edge_block[arc >> 1] != b]
+
+    parent = [-1] * len(tree_adj)
+    depth = [-1] * len(tree_adj)
+    for root in range(len(tree_adj)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            for b in tree_adj[a]:
+                if depth[b] < 0:
+                    parent[b], depth[b] = a, depth[a] + 1
+                    queue.append(b)
+    return BlockCutForest(g, edge_block, node_tree, parent, depth, exits)
+
+
+def _exit_arcs(forest: BlockCutForest, s: int, t: int):
+    """The arcs out of the region formed by the blocks on the s-t path of
+    ``forest``, or None when nothing leaves it (s and t in different trees
+    included).  A path leaving the region at a cut vertex can only come
+    back through it, so every simple s-t path stays inside."""
+    a, b = forest.node_tree[s], forest.node_tree[t]
+    if a < 0 or b < 0:
+        return None
+    parent, depth = forest.parent, forest.depth
+    path = {a, b}
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        a = parent[a]
+        if a < 0:
+            return None
+        path.add(a)
+    exits, edge_block = forest.exits, forest.edge_block
+    closed = [arc for blk in path if blk < len(exits) for arc in exits[blk]
+              if edge_block[arc >> 1] not in path]
+    return closed or None
+
+
 class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
-    the int capacity of arc a (both arcs of an edge carry it)."""
+    the int capacity of arc a (both arcs of an edge carry it).  ``forest``
+    is the graph's ``block_cut_forest``, if the caller built one."""
 
     arcs: list
     scale: int
+    forest: BlockCutForest | None = None
 
 
-def scale_capacities(g: Graph, cap) -> ScaledCapacities:
+def scale_capacities(g: Graph, cap, forest: BlockCutForest | None = None) -> ScaledCapacities:
     """Check and scale ``cap`` (edge id -> nonnegative int or Fraction,
-    missing ids 0) to ints by the lcm of its denominators."""
+    missing ids 0) to ints by the lcm of its denominators; ``forest``
+    rides along to ``min_cut``."""
     m = g.num_edges
     ratios = []
     for eid, c in cap.items():
@@ -105,7 +229,7 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale)
+    return ScaledCapacities(arcs, scale, forest)
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -123,7 +247,11 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     exists.  Otherwise the call returns the same pair as without ``need``.
 
     Edmonds-Karp (shortest augmenting paths) runs on one int residual per
-    arc of ``g.adj``.
+    arc of ``g.adj``.  With ``cap.forest`` the augmenting searches are
+    confined to the blocks on the s-t path, by closing the arcs out of
+    them; a search never enters those blocks from outside, so it labels
+    them in the same order and finds the same paths.  The last search
+    reopens the arcs, so the side spans the whole graph.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -133,8 +261,14 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     if len(cap.arcs) != 2 * g.num_edges:
         raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
                          f"the graph has {g.num_edges}")
+    if cap.forest is not None and (cap.forest.graph is not g
+                                   or len(cap.forest.edge_block) != g.num_edges):
+        raise GraphError("block-cut forest built for another graph, or before its last edge")
     scale = cap.scale
     res = list(cap.arcs)  # residual capacity per arc, in units of 1/scale
+    closed = None if cap.forest is None else _exit_arcs(cap.forest, s, t)
+    for arc in closed or ():
+        res[arc] = 0
     if need is None:
         goal = None
     else:
@@ -145,6 +279,10 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     while goal is None or flow < goal:
         pred = _shortest_path_tree(g.adj, res, s, t)
         if t not in pred:
+            if closed:  # no flow crossed them: reopen and search everything
+                for arc in closed:
+                    res[arc] = cap.arcs[arc]
+                pred = _shortest_path_tree(g.adj, res, s, t)
             return Fraction(flow, scale), set(pred)
         path = []
         node = t

@@ -70,6 +70,24 @@ def test_lp_check_reports_violation(tmp_path, capsys):
     assert doc["feasible"] is False and doc["violated"]["kind"] == "cut"
 
 
+def test_lp_check_names_the_side_and_it_reads_back_as_a_family(tmp_path, capsys):
+    # node names differ from ids (7 -> 0, 9 -> 1, 3 -> 2)
+    inst = tmp_path / "named.pcsf"
+    inst.write_text("pcsf 1\nedge 7 9 1\nedge 9 3 1\npair 7 3 1\n")
+    point = write_point(tmp_path, x=("1", "0"), z=("0",))
+    code, out, _ = run(capsys, "lp", "check", str(inst), "--point", point)
+    assert code == 0
+    violated = json.loads(out)["violated"]
+    assert (violated["kind"], violated["pair"], violated["side"]) == ("cut", 0, ["7", "9"])
+    family = tmp_path / "family.txt"
+    family.write_text(f"cut {violated['pair']} {' '.join(violated['side'])}\n")
+    code, out, _ = run(capsys, "lp", "verify-vertex", str(inst),
+                       "--point", point, "--family", str(family))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["feasible"] is False and doc["all_tight"] is False  # the cut reads 0
+
+
 def test_verify_vertex_gadget(capsys):
     code, out, _ = run(capsys, "lp", "verify-vertex", "--gadget-k", "6")
     assert code == 0

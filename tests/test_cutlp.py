@@ -5,9 +5,9 @@ import pytest
 from pcsf import simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
-from pcsf.graph import Graph
+from pcsf.graph import Graph, min_cut, scale_capacities
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance, make_base
-from pcsf.layered import build_layered, layered_instance
+from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
 
 
@@ -108,6 +108,43 @@ def test_solution_is_feasible_and_cuts_tight():
         total = sum(res.solution.x[e] for e, (u, v) in enumerate(inst.graph.edges)
                     if (u in cut.side) != (v in cut.side))
         assert total + res.solution.z.get(cut.pair, Fraction(0)) == 1
+
+
+def unrestricted_check(inst, point):
+    """check_feasible's cut search with no block-cut forest: every flow
+    and every side over the whole graph."""
+    cap = scale_capacities(inst.graph, point.x)
+    for i, (s, t) in enumerate(inst.pairs):
+        _, side = min_cut(inst.graph, cap, s, t, need=1 - point.z.get(i, 0))
+        if side is not None:
+            return CutConstraint(pair=i, side=frozenset(side))
+    return None
+
+
+def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():
+    # H^(1) over K4, m=4: 25 blocks, a copy hanging off every subdivision
+    # node of the root copy
+    lc = build_layered(make_base("k4"), m=4, k=1)
+    inst = layered_instance(lc)
+    point = canonical_point(lc, "gap")
+    assert check_feasible(inst, point) is None
+    # x = 0 on the last edge of a path: the violated pair's minimal side
+    # then reaches beyond the blocks between the pair, which only the
+    # final search over the whole graph sees
+    sides = []
+    for copy in (lc.copies[0], lc.copies[1]):
+        x = dict(point.x)
+        x[copy.groups[0].edges[-1]] = Fraction(0)
+        lowered = FracSolution(x=x, z=point.z)
+        violated = check_feasible(inst, lowered)
+        assert violated is not None and violated == unrestricted_check(inst, lowered)
+        sides.append(violated.side)
+    # in the root copy: the copies hanging off the path's subdivision nodes
+    hanging = [c for c in lc.copies if c.root in lc.copies[0].groups[0].nodes]
+    assert len(hanging) == 4
+    assert all(set(c.branch_nodes + c.subdivision_nodes) <= sides[0] for c in hanging)
+    # in a level-1 copy: the root copy, whose block is not between the pair
+    assert set(lc.copies[0].branch_nodes + lc.copies[0].subdivision_nodes) <= sides[1]
 
 
 def test_cut_constraint_validation():

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsf.graph import (Graph, GraphError, UnionFind, component_labels,
-                        cut_edges, edge_connectivity, is_forest, min_cut,
-                        minimum_spanning_tree, scale_capacities)
+from pcsf.graph import (Graph, GraphError, UnionFind, block_cut_forest,
+                        component_labels, cut_edges, edge_connectivity, is_forest,
+                        min_cut, minimum_spanning_tree, scale_capacities)
 
 
 def triangle():
@@ -139,6 +140,156 @@ def test_min_cut_matches_brute_force(case):
             assert early[1] is None and need <= early[0] <= best
         else:
             assert early == (value, side)
+
+
+def reference_min_cut(g, cap, s, t, need=None):
+    """Edmonds-Karp over the whole graph with no block restriction: the
+    loop min_cut ran before it learned block-cut forests."""
+    res = list(cap.arcs)
+    scale = cap.scale
+    goal = None if need is None else -(-need.numerator * scale // need.denominator)
+    flow = 0
+    while goal is None or flow < goal:
+        pred = {s: None}
+        queue = deque([s])
+        while queue and t not in pred:
+            for arc, w in g.adj[queue.popleft()]:
+                if res[arc] and w not in pred:
+                    pred[w] = arc
+                    if w == t:
+                        break
+                    queue.append(w)
+        if t not in pred:
+            return Fraction(flow, scale), set(pred)
+        path = []
+        node = t
+        while node != s:
+            path.append(pred[node])
+            node = g.edges[pred[node] >> 1][pred[node] & 1]
+        bott = min(res[arc] for arc in path)
+        for arc in path:
+            res[arc] -= bott
+            res[arc ^ 1] += bott
+        flow += bott
+    return Fraction(flow, scale), None
+
+
+@st.composite
+def block_graphs(draw):
+    """A multigraph made of blocks: cycles with chords glued at cut
+    vertices, pendant trees, parallel edges, a second component and maybe
+    an isolated node, with node ids and edge order shuffled."""
+    edges = []
+    n = 1
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = [draw(st.integers(0, n - 1))] + list(range(n, n + draw(st.integers(1, 3))))
+        n = nodes[-1] + 1
+        edges += list(zip(nodes, nodes[1:] + nodes[:1] if len(nodes) > 2 else nodes[1:]))
+        for a, b in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+                                  .filter(lambda e: e[0] != e[1]), max_size=2)):
+            edges.append((a, b))
+    for _ in range(draw(st.integers(0, 3))):  # pendant trees
+        edges.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    for eid in draw(st.lists(st.integers(0, len(edges) - 1), max_size=2)):
+        edges.append(edges[eid])  # parallel edges
+    size = draw(st.integers(0, 3))  # a second component: an edge or a triangle
+    if size >= 2:
+        rest = list(range(n, n + size))
+        edges += list(zip(rest, rest[1:] + rest[:1] if size > 2 else rest[1:]))
+        n += size
+    n += draw(st.integers(0, 1))  # an isolated node
+    perm = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(perm[u], perm[v]) for u, v in edges]))
+    return Graph(n, edges)
+
+
+@st.composite
+def block_networks(draw):
+    """block_graphs with capacities, s, t and need as in flow_networks:
+    some capacities 0 or absent."""
+    g = draw(block_graphs())
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)))
+    cap = {}
+    for eid in range(g.num_edges):
+        c = draw(st.one_of(st.none(), value))
+        if c is not None:
+            cap[eid] = c
+    s, t = draw(st.lists(st.integers(0, g.num_nodes - 1), min_size=2, max_size=2, unique=True))
+    need = draw(st.one_of(st.none(), st.builds(Fraction, st.integers(0, 8), st.integers(1, 2))))
+    return g, cap, s, t, need
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(block_networks())
+def test_min_cut_in_blocks_matches_unrestricted_reference(case):
+    g, cap, s, t, need = case
+    scaled = scale_capacities(g, cap, block_cut_forest(g))
+    value, side = min_cut(g, scaled, s, t)
+    assert (value, side) == reference_min_cut(g, scaled, s, t)
+    if need is not None:
+        assert min_cut(g, scaled, s, t, need=need) == reference_min_cut(g, scaled, s, t, need)
+    if g.num_nodes <= 8:
+        cuts = list(brute_force_cuts(g, cap, s, t))
+        best = min(v for v, _ in cuts)
+        assert value == best
+        assert all(side <= other for v, other in cuts if v == best)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(block_graphs(), flow_networks().map(lambda case: case[0])))
+def test_block_cut_forest_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    forest = block_cut_forest(g)
+    num_blocks = len(forest.exits)
+    blocks = [set() for _ in range(num_blocks)]
+    for eid, (u, v) in enumerate(g.edges):
+        blocks[forest.edge_block[eid]] |= {u, v}
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.num_nodes))
+    assert sorted(map(sorted, blocks)) == sorted(map(sorted, nx.biconnected_components(h)))
+    cut_vertices = {v for v in range(g.num_nodes) if forest.node_tree[v] >= num_blocks}
+    assert cut_vertices == set(nx.articulation_points(h))
+    # each node's tree node: its own if a cut vertex, its one block, or -1 if isolated
+    for v in range(g.num_nodes):
+        if v not in cut_vertices:
+            owner = [b for b in range(num_blocks) if v in blocks[b]]
+            assert owner == ([forest.node_tree[v]] if g.adj[v] else [])
+    # tree edges join each cut vertex to exactly the blocks holding it, and
+    # parent and depth root one tree per component that has an edge
+    tree_edges = {frozenset((forest.node_tree[v], b)) for v in cut_vertices
+                  for b in range(num_blocks) if v in blocks[b]}
+    links = {frozenset((a, p)) for a, p in enumerate(forest.parent) if p >= 0}
+    assert links == tree_edges
+    assert all(forest.depth[a] == (0 if p < 0 else forest.depth[p] + 1)
+               for a, p in enumerate(forest.parent))
+    roots = sum(p < 0 for p in forest.parent)
+    assert roots == nx.number_connected_components(h.subgraph(
+        [v for v in range(g.num_nodes) if g.adj[v]]))
+
+
+def test_block_cut_forest_of_a_path_with_parallel_edges():
+    # 0=1-2, 3 isolated: blocks {0,1} (two parallel edges) and {1,2}
+    g = Graph(4, [(0, 1), (1, 2), (1, 0)])
+    forest = block_cut_forest(g)
+    assert forest.edge_block[0] == forest.edge_block[2] != forest.edge_block[1]
+    assert forest.node_tree[1] == 2 and forest.node_tree[3] == -1
+    assert sorted(forest.exits[forest.edge_block[1]]) == [1, 4]  # 1->0 twice
+    assert sorted(forest.exits[forest.edge_block[0]]) == [2]  # 1->2
+
+
+def test_min_cut_rejects_a_forest_of_another_graph():
+    g = triangle()
+    scaled = scale_capacities(g, {0: Fraction(1)}, block_cut_forest(triangle()))
+    with pytest.raises(GraphError, match="another graph"):
+        min_cut(g, scaled, 0, 2)
+    # nor one built before an edge was added: 0-1-2 is two blocks, the
+    # triangle one
+    path = Graph(3, [(0, 1), (1, 2)])
+    forest = block_cut_forest(path)
+    path.add_edge(0, 2)
+    with pytest.raises(GraphError, match="before its last edge"):
+        min_cut(path, scale_capacities(path, {}, forest), 0, 2)
 
 
 def test_components_and_labels():
