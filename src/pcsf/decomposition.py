@@ -196,7 +196,7 @@ def explicit_gap_distribution(lc: LayeredConstruction, alpha) -> ForestDistribut
         raise InstanceError("alpha must lie in [2, 3]")
     if lc.l != 3:
         raise InstanceError("explicit distribution requires a 3-regular base")
-    trees = [t for t in enumerate_forests(lc.base) if len(t) == lc.base.num_nodes - 1]
+    trees = [t for t, _ in enumerate_forests(lc.base) if len(t) == lc.base.num_nodes - 1]
     entries = []
     tree_weight = (3 - alpha) / len(trees)
     for tree in trees:
@@ -337,9 +337,9 @@ def _dominate(inst: PcsfInstance, x, z, scaled: bool, scale_z: bool, method: str
                 f"z cannot dominate any mixture: pairs {bad} unconnectable but z* < 1")
 
     if method == "enumerate":
-        forests = enumerate_forests(sub, edge_cap=min(edge_cap, ENUM_EDGE_CAP))
-        columns = [_column(inst, [eplus[j] for j in forest]) for forest in forests]
-        columns = [col for col in columns if not col.miss & forced]
+        forests = enumerate_forests(sub, inst.pairs, edge_cap=min(edge_cap, ENUM_EDGE_CAP))
+        columns = [Column(frozenset(eplus[j] for j in forest), miss)
+                   for forest, miss in forests if not miss & forced]
         value, weights, d, rho, level = _dominance_master(columns, eplus, x, zrows,
                                                           scaled, scale_z)
     elif method == "cg":

@@ -5,6 +5,7 @@ the decomposition module."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cutlp import LpInfeasibleError, solve_cut_lp
 from .graph import component_labels, spanning_forest
@@ -103,14 +104,17 @@ def _branch_edge(x, forced_in, forced_out):
     return best_e
 
 
-def enumerate_forests(graph, edge_cap: int = ENUM_EDGE_CAP):
+def enumerate_forests(graph, pairs=(), edge_cap: int = ENUM_EDGE_CAP):
     """All acyclic edge subsets, by DFS over the edge ids (each edge is first
-    left out, then taken).  The union-find of the taken edges unites by size
-    and never compresses paths, so a union is undone exactly on backtrack."""
+    left out, then taken), as ``(forest, miss)``: ``miss`` holds the ids of
+    the ``pairs`` whose endpoints lie in different trees of the forest.  The
+    union-find of the taken edges unites by size and never compresses paths,
+    so a union is undone exactly on backtrack."""
     if graph.num_edges > edge_cap:
         raise ScaleCapError(f"enumerate cap exceeded: {graph.num_edges} > {edge_cap}")
     parent = list(range(graph.num_nodes))
     size = [1] * graph.num_nodes
+    pairs = list(enumerate(pairs))
     out = []
 
     def find(u):
@@ -120,7 +124,8 @@ def enumerate_forests(graph, edge_cap: int = ENUM_EDGE_CAP):
 
     def extend(next_eid, chosen):
         if next_eid == graph.num_edges:
-            out.append(frozenset(chosen))
+            out.append((frozenset(chosen),
+                        frozenset(i for i, (s, t) in pairs if find(s) != find(t))))
             return
         extend(next_eid + 1, chosen)
         u, v = graph.edges[next_eid]
@@ -141,22 +146,27 @@ def enumerate_forests(graph, edge_cap: int = ENUM_EDGE_CAP):
 
 
 def enumerate_ip(inst: PcsfInstance, edge_cap: int = ENUM_EDGE_CAP):
-    """Exhaustive optimum: (optimal value, all optimal solutions)."""
-    best_value = None
-    best_solutions = []
-    for forest in enumerate_forests(inst.graph, edge_cap=edge_cap):
-        sol = forest_solution(inst, forest)
-        if sol.objective is None:
+    """Exhaustive optimum: (optimal value, all optimal solutions).  Forests are
+    compared in ints, scaled by the lcm of every finite value's denominator."""
+    hard = frozenset(i for i in range(inst.num_pairs) if inst.is_infinite(i))
+    pens = [0 if i in hard else inst.penalties[i] for i in range(inst.num_pairs)]
+    scale = lcm(*(v.denominator for v in [*inst.costs.values(), *pens]))
+    costs = [int(inst.costs[e] * scale) for e in range(inst.graph.num_edges)]
+    pens = [int(p * scale) for p in pens]
+    best, optima = None, []
+    for forest, miss in enumerate_forests(inst.graph, inst.pairs, edge_cap=edge_cap):
+        if not hard.isdisjoint(miss):
             continue
-        if best_value is None or sol.objective < best_value:
-            best_value = sol.objective
-            best_solutions = [sol]
-        elif sol.objective == best_value:
-            best_solutions.append(sol)
-    if best_value is None:
+        value = sum(costs[e] for e in forest) + sum(pens[i] for i in miss)
+        if best is None or value < best:
+            best, optima = value, [forest]
+        elif value == best:
+            optima.append(forest)
+    if best is None:
         raise LpInfeasibleError("no feasible forest (infinite-penalty pair disconnected)")
-    best_solutions.sort(key=lambda s: tuple(sorted(s.forest)))
-    return best_value, best_solutions
+    solutions = sorted((forest_solution(inst, f) for f in optima),
+                       key=lambda s: tuple(sorted(s.forest)))
+    return Fraction(best, scale), solutions
 
 
 def gap(inst: PcsfInstance):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcsf import decomposition as dec
 from pcsf.cutlp import solve_lp
-from pcsf.exact import solve_ip
+from pcsf.exact import enumerate_forests, solve_ip
 from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
 from pcsf.layered import build_layered, canonical_point
@@ -147,6 +147,57 @@ def test_min_alpha_methods_agree_on_randoms():
             continue
         assert a_cg == a_en
         done += 1
+
+
+def enumerate_alpha_reference(inst, point):
+    """min_alpha by enumeration with each column's missed pairs taken from
+    ``_column`` (component labels), not from the enumerator."""
+    x = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
+    z = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
+    eplus = [e for e in range(inst.graph.num_edges) if x[e] > 0]
+    sub = Graph(inst.graph.num_nodes, [inst.graph.edges[e] for e in eplus])
+    forced = {i for i, zi in z.items() if zi == 0}
+    zrows = [(i, zi) for i, zi in sorted(z.items()) if zi > 0]
+    columns = [dec._column(inst, [eplus[j] for j in forest])
+               for forest, _ in enumerate_forests(sub)]
+    columns = [col for col in columns if not col.miss & forced]
+    value, weights, d, rho, _ = dec._dominance_master(columns, eplus, x, zrows, True, True)
+    dist = dec.ForestDistribution([(col.forest, w) for col, w in zip(columns, weights) if w > 0])
+    return value, dist, d, rho
+
+
+def small_batch_instance(seed):
+    """A random tree on 3..6 nodes plus up to 10 extra edges (at most 12),
+    costs 0..5, 1..3 pairs with penalties 1..7, and its cut-LP optimum."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    seen = {frozenset(e) for e in edges}
+    for _ in range(10):
+        u, v = rng.sample(range(n), 2)
+        if frozenset((u, v)) not in seen and len(edges) < 12:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 3))})
+    costs = {e: Fraction(rng.randint(0, 5)) for e in range(len(edges))}
+    pens = {i: Fraction(rng.randint(1, 7)) for i in range(len(pairs))}
+    inst = PcsfInstance(Graph(n, edges), costs, pairs, pens)
+    return inst, solve_lp(inst).solution
+
+
+@pytest.mark.parametrize("seed", [0, 12, 40])
+def test_min_alpha_enumerate_matches_label_columns(seed):
+    # the LP optimum has z in {0, 1}; the all-1/2 point (feasible on any
+    # connected graph) adds fractional pair rows, where the missed pairs bind
+    inst, lp_point = small_batch_instance(seed)
+    half = FracSolution(x={e: Fraction(1, 2) for e in range(inst.graph.num_edges)},
+                        z={i: Fraction(1, 2) for i in range(inst.num_pairs)})
+    for point in (lp_point, half):
+        alpha, dist, witness = dec.min_alpha(inst, point, method="enumerate")
+        ref_alpha, ref_dist, ref_d, ref_rho = enumerate_alpha_reference(inst, point)
+        assert alpha == ref_alpha
+        assert dist.entries == ref_dist.entries
+        assert (witness.d, witness.rho) == (ref_d, ref_rho)
 
 
 @st.composite

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcsf.cutlp import LpInfeasibleError
 from pcsf.exact import (ScaleCapError, enumerate_forests, enumerate_ip, gap,
                         solve_ip)
-from pcsf.graph import Graph
+from pcsf.graph import Graph, is_forest
 from pcsf.instance import PcsfInstance
 from pcsf.rational import INF
+from pcsf.rounding import forest_solution
 
 
 def triangle_instance(penalty=Fraction(1)):
@@ -91,6 +95,53 @@ def test_solve_ip_matches_enumeration():
         inst = random_instance(rng)
         best, _ = enumerate_ip(inst)
         assert solve_ip(inst).objective == best
+
+
+def brute_force_ip(inst):
+    """Every acyclic edge subset evaluated in Fractions by forest_solution."""
+    sols = [forest_solution(inst, f) for k in range(inst.graph.num_edges + 1)
+            for f in combinations(range(inst.graph.num_edges), k) if is_forest(inst.graph, f)]
+    sols = [sol for sol in sols if sol.objective is not None]
+    if not sols:
+        raise LpInfeasibleError("no feasible forest")
+    best = min(sol.objective for sol in sols)
+    return best, sorted((sol for sol in sols if sol.objective == best),
+                        key=lambda sol: sorted(sol.forest))
+
+
+rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+
+
+@st.composite
+def instances(draw):
+    """Multigraphs on 2..6 nodes with up to 9 edges; costs and penalties of
+    mixed denominators 1..6, zeros included; some penalties infinite."""
+    n = draw(st.integers(2, 6))
+    nodes = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]), max_size=9))
+    pairs = draw(st.lists(st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1]),
+                          max_size=4, unique_by=frozenset))
+    costs = {e: draw(rationals) for e in range(len(edges))}
+    pens = {i: draw(st.one_of(st.just(INF), rationals)) for i in range(len(pairs))}
+    return PcsfInstance(Graph(n, edges), costs, pairs, pens)
+
+
+def summary(sols):
+    return [(sorted(s.forest), s.disconnected, s.cost, s.penalty, s.objective) for s in sols]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(instances())
+def test_enumerate_ip_matches_brute_force(inst):
+    try:
+        want_value, want = brute_force_ip(inst)
+    except LpInfeasibleError:
+        with pytest.raises(LpInfeasibleError):
+            enumerate_ip(inst)
+        return
+    value, sols = enumerate_ip(inst)
+    assert value == want_value and isinstance(value, Fraction)
+    assert summary(sols) == summary(want)
 
 
 def test_enumerate_ip_lists_all_optima():

@@ -26,7 +26,7 @@ def multigraphs(draw, max_edges=8):
 
 
 def spanning_trees(g):
-    return [t for t in enumerate_forests(g) if len(t) == g.num_nodes - 1]
+    return [t for t, _ in enumerate_forests(g) if len(t) == g.num_nodes - 1]
 
 
 def determinant(matrix):
@@ -48,13 +48,20 @@ def determinant(matrix):
 
 
 @PROPERTY
-@given(multigraphs())
-def test_enumerate_forests_matches_brute_force(g):
-    forests = enumerate_forests(g)
+@given(st.data())
+def test_enumerate_forests_matches_brute_force(data):
+    g = data.draw(multigraphs())
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, g.num_nodes - 1),
+                                         st.integers(0, g.num_nodes - 1)), max_size=6))
+    result = enumerate_forests(g, pairs)
+    forests = [forest for forest, _ in result]
     assert len(set(forests)) == len(forests)
     brute = {frozenset(f) for k in range(g.num_edges + 1)
              for f in combinations(range(g.num_edges), k) if is_forest(g, f)}
     assert set(forests) == brute
+    for forest, miss in result:
+        labels = component_labels(g, forest)
+        assert miss == {i for i, (s, t) in enumerate(pairs) if labels[s] != labels[t]}
 
 
 @PROPERTY
