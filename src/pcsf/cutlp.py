@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .graph import block_cut_forest, component_labels, cut_edges, min_cut, scale_capacities
+from .graph import component_labels, cut_edges, min_cut, scale_capacities
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -57,15 +57,13 @@ class LpResult:
     iterations: int
 
 
-def _violated_cuts(inst: PcsfInstance, x, z, pairs, forest):
+def _violated_cuts(inst: PcsfInstance, x, z, pairs):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
     in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
     A pair's flow stops once it reaches 1 - z_i, which proves no such side.
-    x is checked and scaled to ints once, for all the pairs; ``forest`` is
-    the graph's block-cut forest, which confines each flow to the blocks
-    between the pair."""
+    x is checked and scaled to ints once, for all the pairs."""
     g = inst.graph
-    cap = scale_capacities(g, x, forest)
+    cap = scale_capacities(g, x)
     for i in pairs:
         s, t = inst.pairs[i]
         _, side = min_cut(g, cap, s, t, need=1 - z.get(i, 0))
@@ -82,8 +80,7 @@ def check_feasible(inst: PcsfInstance, point: FracSolution):
     for i in range(inst.num_pairs):
         if point.z.get(i, Fraction(0)) < 0:
             return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    forest = block_cut_forest(inst.graph)
-    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs), forest):
+    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
         return CutConstraint(pair=i, side=side)
     return None
 
@@ -142,7 +139,6 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     # its basic structural columns, and the cuts whose slack is nonbasic;
     # every other cut (a new one included) starts with its slack basic
     basic_cols, bound = (), set()
-    forest = block_cut_forest(g)  # of all of g: a round's support is a subgraph
     iterations = 0
     while True:
         live = list(cuts)
@@ -170,7 +166,7 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         d = lcm(*(v.denominator for v in sol.x))
         X = [v.numerator * (d // v.denominator) for v in sol.x]
         tight = [key for key, (row, b) in cuts.items() if sum(X[j] for j in row) == b * d]
-        violated = list(_violated_cuts(inst, x, z, open_pairs, forest))
+        violated = list(_violated_cuts(inst, x, z, open_pairs))
         if not violated:
             if pool is not None:
                 pool[:] = tight

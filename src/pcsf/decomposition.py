@@ -18,6 +18,7 @@ from .instance import FracSolution, InstanceError, PcsfInstance
 from .layered import LayeredConstruction, canonical_point, layered_pairs
 from .rational import (INF, format_rational, parse_field, parse_rational, rational_json,
                        read_records)
+from .rounding import forest_solution
 
 
 class DecompositionError(RuntimeError):
@@ -215,12 +216,6 @@ def explicit_gap_distribution(lc: LayeredConstruction, alpha) -> ForestDistribut
 Column = namedtuple("Column", "forest miss")  # global edge ids, missed pair ids
 
 
-def _column(inst: PcsfInstance, forest) -> Column:
-    labels = component_labels(inst.graph, forest)
-    return Column(frozenset(forest), frozenset(
-        i for i, (s, t) in enumerate(inst.pairs) if labels[s] != labels[t]))
-
-
 def _greedy_price(inst: PcsfInstance, sub: Graph, eplus, d, rho, forced):
     """Cheap pricing heuristic: min-weight spanning forest of the support,
     then drop paid edges whenever the separated penalties are cheaper."""
@@ -326,7 +321,8 @@ def _dominate(inst: PcsfInstance, x, z, scaled: bool, scale_z: bool, method: str
     forced = frozenset(i for i, zi in z.items() if zi == 0)
     zrows = [(i, zi) for i, zi in sorted(z.items()) if zi > 0 and (scaled or zi < 1)]
 
-    start = _column(inst, spanning_forest(inst.graph, eplus))
+    forest = spanning_forest(inst.graph, eplus)
+    start = Column(frozenset(forest), frozenset(forest_solution(inst, forest).disconnected))
     if start.miss & forced:
         raise DecompositionError(
             f"pairs {sorted(start.miss & forced)} cannot be connected within the support of x")

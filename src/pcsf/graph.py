@@ -29,6 +29,7 @@ class Graph:
         self.num_nodes = num_nodes
         self.edges = []  # edge id -> (u, v)
         self.adj = [[] for _ in range(num_nodes)]  # node -> [(arc, other)]
+        self._blocks = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -38,10 +39,19 @@ class Graph:
         if u == v:
             raise GraphError(f"self-loop at node {u}")
         eid = len(self.edges)
+        self._blocks = None
         self.edges.append((u, v))
         self.adj[u].append((2 * eid, v))
         self.adj[v].append((2 * eid + 1, u))
         return eid
+
+    @property
+    def blocks(self) -> BlockCutForest:
+        """``block_cut_forest(self)``, built on first use; ``add_edge``
+        drops it."""
+        if self._blocks is None:
+            self._blocks = block_cut_forest(self)
+        return self._blocks
 
     @property
     def num_edges(self) -> int:
@@ -82,7 +92,7 @@ class UnionFind:
 
 
 class BlockCutForest(NamedTuple):
-    """The blocks (biconnected components) of ``graph`` and their block-cut
+    """The blocks (biconnected components) of a graph and their block-cut
     forest.  Tree nodes 0..B-1 are the blocks, numbered as ``edge_block``
     gives them; tree nodes B.. are the cut vertices.
 
@@ -92,7 +102,6 @@ class BlockCutForest(NamedTuple):
     first node, and ``exits[b]`` lists the arcs out of block b: the arcs at
     b's cut vertices along edges of other blocks."""
 
-    graph: Graph
     edge_block: list
     node_tree: list
     parent: list
@@ -176,7 +185,7 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
                 if depth[b] < 0:
                     parent[b], depth[b] = a, depth[a] + 1
                     queue.append(b)
-    return BlockCutForest(g, edge_block, node_tree, parent, depth, exits)
+    return BlockCutForest(edge_block, node_tree, parent, depth, exits)
 
 
 def _exit_arcs(forest: BlockCutForest, s: int, t: int):
@@ -204,18 +213,15 @@ def _exit_arcs(forest: BlockCutForest, s: int, t: int):
 
 class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
-    the int capacity of arc a (both arcs of an edge carry it).  ``forest``
-    is the graph's ``block_cut_forest``, if the caller built one."""
+    the int capacity of arc a (both arcs of an edge carry it)."""
 
     arcs: list
     scale: int
-    forest: BlockCutForest | None = None
 
 
-def scale_capacities(g: Graph, cap, forest: BlockCutForest | None = None) -> ScaledCapacities:
+def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     """Check and scale ``cap`` (edge id -> nonnegative int or Fraction,
-    missing ids 0) to ints by the lcm of its denominators; ``forest``
-    rides along to ``min_cut``."""
+    missing ids 0) to ints by the lcm of its denominators."""
     m = g.num_edges
     ratios = []
     for eid, c in cap.items():
@@ -229,7 +235,7 @@ def scale_capacities(g: Graph, cap, forest: BlockCutForest | None = None) -> Sca
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale, forest)
+    return ScaledCapacities(arcs, scale)
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -247,10 +253,10 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     exists.  Otherwise the call returns the same pair as without ``need``.
 
     Edmonds-Karp (shortest augmenting paths) runs on one int residual per
-    arc of ``g.adj``.  With ``cap.forest`` the augmenting searches are
-    confined to the blocks on the s-t path, by closing the arcs out of
-    them; a search never enters those blocks from outside, so it labels
-    them in the same order and finds the same paths.  The last search
+    arc of ``g.adj``.  The augmenting searches are confined to the blocks
+    on the s-t path of ``g.blocks``, by closing the arcs out of them; a
+    search never enters those blocks from outside, so it labels them in
+    the same order and finds the same paths.  The last search
     reopens the arcs, so the side spans the whole graph.
     """
     n = g.num_nodes
@@ -261,12 +267,9 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     if len(cap.arcs) != 2 * g.num_edges:
         raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
                          f"the graph has {g.num_edges}")
-    if cap.forest is not None and (cap.forest.graph is not g
-                                   or len(cap.forest.edge_block) != g.num_edges):
-        raise GraphError("block-cut forest built for another graph, or before its last edge")
     scale = cap.scale
     res = list(cap.arcs)  # residual capacity per arc, in units of 1/scale
-    closed = None if cap.forest is None else _exit_arcs(cap.forest, s, t)
+    closed = _exit_arcs(g.blocks, s, t)
     for arc in closed or ():
         res[arc] = 0
     if need is None:

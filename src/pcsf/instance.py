@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, GraphError
+from .graph import Graph, edge_connectivity
 from .rational import (Infinite, format_rational, parse_field, parse_penalty, parse_rational,
                        read_records)
 
@@ -169,8 +169,6 @@ def make_base(kind: str, path=None) -> Graph:
     The result is checked to be l-regular and l-edge-connected where l is
     the common degree; a violation is reported with the offending node.
     """
-    from .graph import edge_connectivity
-
     kind = kind.strip().lower()
     if kind == "k4":
         g = _complete_graph(4)
@@ -189,13 +187,7 @@ def make_base(kind: str, path=None) -> Graph:
     else:
         raise InstanceError(f"unknown base kind: {kind!r}")
 
-    if g.num_nodes == 0:
-        raise InstanceError("base graph has no nodes")
-    degree = g.degree(0)
-    for node in range(g.num_nodes):
-        if g.degree(node) != degree:
-            raise InstanceError(f"base graph not regular: node {node} has degree "
-                                f"{g.degree(node)}, expected {degree}")
+    degree = regular_degree(g)
     conn = edge_connectivity(g)
     if conn != degree:
         raise InstanceError(f"base graph not {degree}-edge-connected "
@@ -204,7 +196,12 @@ def make_base(kind: str, path=None) -> Graph:
 
 
 def regular_degree(g: Graph) -> int:
+    """The common degree of a base graph's nodes."""
+    if g.num_nodes == 0:
+        raise InstanceError("base graph has no nodes")
     degree = g.degree(0)
-    if any(g.degree(v) != degree for v in range(g.num_nodes)):
-        raise GraphError("graph is not regular")
+    for node in range(g.num_nodes):
+        if g.degree(node) != degree:
+            raise InstanceError(f"base graph not regular: node {node} has degree "
+                                f"{g.degree(node)}, expected {degree}")
     return degree

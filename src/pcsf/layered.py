@@ -104,7 +104,7 @@ def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
     n = base.num_nodes
 
     nodes_h = n + m * base.num_edges
-    # total node estimate: each attachment adds nodes_h - 1 nodes
+    # total node count: each attachment adds nodes_h - 1 nodes
     total = nodes_h
     frontier = m * base.num_edges
     for _ in range(k):
@@ -114,24 +114,19 @@ def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
         raise ScaleCapError(f"layered construction needs {total} nodes, cap {NODE_CAP}")
 
     lc = LayeredConstruction(base=base, n=n, l=l, m=m, k=k)
-    g = Graph(0, [])
-    g.num_nodes = 0
-
-    def new_node():
-        g.num_nodes += 1
-        g.adj.append([])
-        return g.num_nodes - 1
+    g = Graph(total, [])
+    ids = iter(range(total))  # node ids, handed out in order
 
     def attach_copy(root_global, level):
         """One subdivided copy of P; base node 0 maps to ``root_global``."""
         if root_global is None:
-            branch = [new_node() for _ in range(n)]
+            branch = [next(ids) for _ in range(n)]
         else:
-            branch = [root_global] + [new_node() for _ in range(n - 1)]
+            branch = [root_global] + [next(ids) for _ in range(n - 1)]
         copy = Copy(id=len(lc.copies), level=level, root=branch[0], branch_nodes=branch)
         lc.copies.append(copy)
         for be, (a, b) in enumerate(base.edges):
-            internal = [new_node() for _ in range(m)]
+            internal = [next(ids) for _ in range(m)]
             chain = [branch[a]] + internal + [branch[b]]
             edge_ids = [g.add_edge(u, v) for u, v in zip(chain, chain[1:])]
             copy.groups.append(PathGroup(base_edge=be, nodes=internal, edges=edge_ids))

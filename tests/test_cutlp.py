@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from pcsf import simplex
+from pcsf import graph, simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
-from pcsf.graph import Graph, min_cut, scale_capacities
+from pcsf.graph import Graph
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance, make_base
 from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
@@ -111,14 +111,11 @@ def test_solution_is_feasible_and_cuts_tight():
 
 
 def unrestricted_check(inst, point):
-    """check_feasible's cut search with no block-cut forest: every flow
-    and every side over the whole graph."""
-    cap = scale_capacities(inst.graph, point.x)
-    for i, (s, t) in enumerate(inst.pairs):
-        _, side = min_cut(inst.graph, cap, s, t, need=1 - point.z.get(i, 0))
-        if side is not None:
-            return CutConstraint(pair=i, side=frozenset(side))
-    return None
+    """check_feasible with no arc closed: every flow and every side over
+    the whole graph."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_exit_arcs", lambda blocks, s, t: None)
+        return check_feasible(inst, point)
 
 
 def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():

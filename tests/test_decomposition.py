@@ -12,6 +12,7 @@ from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
 from pcsf.layered import build_layered, canonical_point
 from pcsf.rational import INF
+from pcsf.rounding import forest_solution
 
 
 def triangle_instance(penalty=Fraction(1)):
@@ -151,15 +152,16 @@ def test_min_alpha_methods_agree_on_randoms():
 
 def enumerate_alpha_reference(inst, point):
     """min_alpha by enumeration with each column's missed pairs taken from
-    ``_column`` (component labels), not from the enumerator."""
+    ``forest_solution``, not from the enumerator."""
     x = {e: point.x.get(e, Fraction(0)) for e in range(inst.graph.num_edges)}
     z = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
     eplus = [e for e in range(inst.graph.num_edges) if x[e] > 0]
     sub = Graph(inst.graph.num_nodes, [inst.graph.edges[e] for e in eplus])
     forced = {i for i, zi in z.items() if zi == 0}
     zrows = [(i, zi) for i, zi in sorted(z.items()) if zi > 0]
-    columns = [dec._column(inst, [eplus[j] for j in forest])
-               for forest, _ in enumerate_forests(sub)]
+    forests = [{eplus[j] for j in forest} for forest, _ in enumerate_forests(sub)]
+    columns = [dec.Column(frozenset(f), frozenset(forest_solution(inst, f).disconnected))
+               for f in forests]
     columns = [col for col in columns if not col.miss & forced]
     value, weights, d, rho, _ = dec._dominance_master(columns, eplus, x, zrows, True, True)
     dist = dec.ForestDistribution([(col.forest, w) for col, w in zip(columns, weights) if w > 0])

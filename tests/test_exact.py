@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcsf import graph
 from pcsf.cutlp import LpInfeasibleError
 from pcsf.exact import (ScaleCapError, enumerate_forests, enumerate_ip, gap,
                         solve_ip)
 from pcsf.graph import Graph, is_forest
-from pcsf.instance import PcsfInstance
+from pcsf.instance import PcsfInstance, make_base
+from pcsf.layered import build_layered, layered_instance
 from pcsf.rational import INF
 from pcsf.rounding import forest_solution
 
@@ -158,3 +160,13 @@ def test_shared_pool_speeds_resolve():
     a = solve_ip(inst, pool=pool)
     b = solve_ip(inst, pool=pool)
     assert a.objective == b.objective == 3
+
+
+def test_solve_ip_builds_the_block_cut_forest_once(monkeypatch):
+    # every branch-and-bound node separates cuts on the same graph
+    inst = layered_instance(build_layered(make_base("k4"), m=1, k=0))
+    built = []
+    build = graph.block_cut_forest
+    monkeypatch.setattr(graph, "block_cut_forest", lambda g: built.append(g) or build(g))
+    solve_ip(inst)
+    assert built == [inst.graph]

@@ -224,7 +224,7 @@ def block_networks(draw):
 @given(block_networks())
 def test_min_cut_in_blocks_matches_unrestricted_reference(case):
     g, cap, s, t, need = case
-    scaled = scale_capacities(g, cap, block_cut_forest(g))
+    scaled = scale_capacities(g, cap)
     value, side = min_cut(g, scaled, s, t)
     assert (value, side) == reference_min_cut(g, scaled, s, t)
     if need is not None:
@@ -278,18 +278,18 @@ def test_block_cut_forest_of_a_path_with_parallel_edges():
     assert sorted(forest.exits[forest.edge_block[0]]) == [2]  # 1->2
 
 
-def test_min_cut_rejects_a_forest_of_another_graph():
-    g = triangle()
-    scaled = scale_capacities(g, {0: Fraction(1)}, block_cut_forest(triangle()))
-    with pytest.raises(GraphError, match="another graph"):
-        min_cut(g, scaled, 0, 2)
-    # nor one built before an edge was added: 0-1-2 is two blocks, the
-    # triangle one
-    path = Graph(3, [(0, 1), (1, 2)])
-    forest = block_cut_forest(path)
-    path.add_edge(0, 2)
-    with pytest.raises(GraphError, match="before its last edge"):
-        min_cut(path, scale_capacities(path, {}, forest), 0, 2)
+def test_blocks_are_built_once_and_rebuilt_after_add_edge():
+    # 2-0-1-3: three blocks, so the cut 0-1 closes the arcs 0->2 and 1->3
+    g = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    unit = {eid: 1 for eid in range(3)}
+    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (1, {0, 2})
+    assert g.blocks is g.blocks
+    # the cycle 0-1-3-2 is one block: a stale forest would still close
+    # 0->2 and 1->3 and miss the second path
+    g.add_edge(2, 3)
+    unit[3] = 1
+    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (2, {0})
+    assert g.blocks == block_cut_forest(g) and len(g.blocks.exits) == 1
 
 
 def test_components_and_labels():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcsf.graph import Graph
 from pcsf.instance import InstanceError, ScaleCapError, make_base
 from pcsf.layered import build_layered, canonical_point, layered_instance, layered_pairs
 
@@ -85,3 +86,10 @@ def test_bad_params():
         build_layered(make_base("k4"), m=0, k=0)
     with pytest.raises(InstanceError):
         build_layered(make_base("k4"), m=4, k=-1)
+
+
+def test_base_without_nodes_or_irregular():
+    with pytest.raises(InstanceError, match="base graph has no nodes"):
+        build_layered(Graph(0, []), m=1, k=0)
+    with pytest.raises(InstanceError, match="node 1 has degree 2, expected 1"):
+        build_layered(Graph(3, [(0, 1), (1, 2)]), m=1, k=0)

@@ -123,3 +123,35 @@ def test_every_parameter_is_read():
             found += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                       if p not in read and p not in ("self", "cls")]
     assert not found, f"parameters never read: {found}"
+
+
+def _changes_graph_field(node):
+    # a store into, or an append to, a field named like Graph's structure
+    # (num_nodes, edges, adj), also through subscripts and tuple targets
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_changes_graph_field(elt) for elt in node.elts)
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in ("num_nodes", "edges", "adj")
+
+
+def test_only_graph_py_changes_a_graph():
+    # Graph.blocks caches the block-cut forest and add_edge drops it, so a
+    # graph changed any other way would keep a stale forest
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("append", "extend", "insert")):
+                targets = [node.func.value]
+            else:
+                continue
+            if any(_changes_graph_field(t) for t in targets):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Graph fields changed outside graph.py: {found}"
