@@ -11,9 +11,11 @@ sources of an answer in turn:
    its basis fails the check, a two-phase primal simplex (Dantzig's rule)
    starts from the artificial basis.  If that reaches its pivot limit
    (Dantzig's rule can cycle), it starts over with the Bland tableau's
-   own rules.
-2. Float solves of that basis give x_B and the duals y, which rational
-   reconstruction (``limit_denominator``) turns into a candidate.
+   own rules.  The dual simplex factors only the basis core, the tight
+   rows (whose slack is nonbasic) against the basic structural columns:
+   each basic slack's tableau row follows from its own row (``_tableau``).
+2. Float solves of that basis core give x_B and the duals y, which
+   rational reconstruction (``limit_denominator``) turns into a candidate.
 3. One exact check on the integer rows accepts a candidate only as a full
    optimality proof: B x_B = b on the tight rows, x_B and the basic slacks
    nonnegative, B^T y = c_B and every nonbasic reduced cost nonnegative.
@@ -64,14 +66,6 @@ class LpSolution:
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _ratio(a):
-    """(numerator, denominator) of an exact coefficient; ints and Fractions
-    are read as they are, anything else goes through ``Fraction``."""
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    return a.numerator, a.denominator
-
-
 def _standardize(num_vars, c, rows, senses, rhs):
     """Equality standard form with slack columns, in integers.
 
@@ -89,16 +83,16 @@ def _standardize(num_vars, c, rows, senses, rhs):
     for i, (row, sense, bi) in enumerate(zip(rows, senses, rhs)):
         if sense not in _FLIP:
             raise LpError(f"unknown row sense {sense!r}")
-        terms = {}
-        for j, a in row.items():
+        for j in row:
             if not 0 <= j < num_vars:
                 raise LpError(f"row {i} has coefficient for unknown column {j!r}")
-            terms[j] = _ratio(a)
-        bn, bd = _ratio(bi)
-        s = lcm(bd, *(d for _, d in terms.values()))
-        neg = bn < 0
+        terms = [(j, a if type(a) in (int, Fraction) else Fraction(a)) for j, a in row.items()]
+        bi = bi if type(bi) in (int, Fraction) else Fraction(bi)
+        s = lcm(*(a.denominator for _, a in terms if type(a) is not int), bi.denominator)
+        neg = bi < 0
         sign = -1 if neg else 1
-        out = {j: sign * n * (s // d) for j, (n, d) in terms.items() if n}
+        out = {j: sign * (a * s if type(a) is int else a.numerator * (s // a.denominator))
+               for j, a in terms if a}
         if neg:
             sense = _FLIP[sense]
         if sense != "=":
@@ -106,10 +100,11 @@ def _standardize(num_vars, c, rows, senses, rhs):
             slack_cols[ncols] = i
             ncols += 1
         A.append(out)
-        b.append(sign * bn * (s // bd))
+        b.append(sign * bi.numerator * (s // bi.denominator))
         scale.append(s)
         flip.append(neg)
-    cost = [Fraction(c[j]) for j in range(num_vars)] + [Fraction(0)] * (ncols - num_vars)
+    cost = [v if type(v) is Fraction else Fraction(v) for v in c]
+    cost += [Fraction(0)] * (ncols - num_vars)
     return A, cost, b, scale, flip, ncols, slack_cols
 
 
@@ -117,20 +112,20 @@ def _float(q):
     return q.numerator / q.denominator  # what float(Fraction) computes
 
 
-def _dense(A, b, scale, ncols, extra):
-    """Float tableau [A | 0 | b] of the caller's rows (each integer row
-    divided by its scale), with ``extra`` zero columns between A and b.
+def _dense(A, b, scale, ncols):
+    """Float matrix [A | b] of the caller's rows (each integer row divided
+    by its scale), built once per solve.
 
     int / int is correctly rounded, as is float(Fraction), so every entry
     is the float of the caller's exact coefficient, bit for bit."""
-    T = np.zeros((len(A), ncols + extra + 1))
+    M = np.zeros((len(A), ncols + 1))
     entries = [(i, j, a / s) for i, (row, s) in enumerate(zip(A, scale))
                for j, a in row.items()]
     if entries:
         ii, jj, vals = zip(*entries)
-        T[ii, jj] = vals
-    T[:, -1] = [v / s for v, s in zip(b, scale)]
-    return T
+        M[ii, jj] = vals
+    M[:, -1] = [v / s for v, s in zip(b, scale)]
+    return M
 
 
 def _pivot(T, r, col):
@@ -148,10 +143,10 @@ def _pivot(T, r, col):
     T[rows, cols] -= T[rows, col] * prow[cols]
 
 
-def _float_simplex(A, cost, b, scale, ncols, bland=False):
-    """Two-phase float tableau simplex from the artificial basis; returns
-    (status, basis), status one of 'optimal', 'infeasible', 'unbounded' or
-    'pivot_limit'.
+def _float_simplex(M, cost, bland=False):
+    """Two-phase float tableau simplex on [A | b] = ``M`` from the
+    artificial basis; returns (status, basis), status one of 'optimal',
+    'infeasible', 'unbounded' or 'pivot_limit'.
 
     Dantzig's rule enters the most negative reduced cost.  ``bland=True``
     follows ``_exact_simplex``'s own rules instead, so that it takes the
@@ -159,10 +154,9 @@ def _float_simplex(A, cost, b, scale, ncols, bland=False):
     negative reduced cost enters, ratio ties (within FLOAT_TOL) leave on
     the smallest basic column, and after phase 1 each zero-level
     artificial is driven out on its first nonzero structural column."""
-    m = len(A)
+    m, ncols = len(M), M.shape[1] - 1
     total = ncols + m  # artificial column per row
-    T = _dense(A, b, scale, ncols, m)
-    T[np.arange(m), ncols + np.arange(m)] = 1.0
+    T = np.hstack((M[:, :ncols], np.eye(m), M[:, ncols:]))
     basis = [ncols + i for i in range(m)]
 
     def run(obj, limit):
@@ -201,11 +195,46 @@ def _float_simplex(A, cost, b, scale, ncols, bland=False):
     return run(obj2, ncols), basis
 
 
-def _float_dual(A, cost, b, scale, ncols, basis):
-    """Float dual simplex from ``basis`` over the structural and slack
-    columns; returns (status, basis), status one of 'optimal', 'infeasible'
-    or 'pivot_limit', or None when the basis is singular or not dual
-    feasible.
+def _split(basis, slack_cols, m):
+    """(basic structural columns, {row: its basic slack column}, tight rows),
+    the first two in basis order, of m distinct columns; else None.  The
+    basis is singular exactly when its core, the tight rows against the
+    structural columns, is: a slack column is a singleton in its own row."""
+    if len(basis) != m or len(set(basis)) != m:
+        return None
+    slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
+    return ([col for col in basis if col not in slack_cols], slack_of,
+            [r for r in range(m) if r not in slack_of])
+
+
+def _tableau(A, M, basis, slack_cols):
+    """The tableau B^-1 [A | b] of B = M[:, basis], rows in basis order, or
+    None when B is singular.  The structural rows are U = core^-1 M[tight];
+    a slack basic in row r gets (M[r] - M[r, struct] U) / its +-1 entry."""
+    split = _split(basis, slack_cols, len(M))
+    if split is None:
+        return None
+    struct, slack_of, tight = split
+    k = len(struct)
+    T = M.take(tight + list(slack_of), 0)  # the core's rows, then the basic slacks'
+    if k:
+        try:
+            T[:k] = np.linalg.inv(T[:k].take(struct, 1)) @ T[:k]
+        except np.linalg.LinAlgError:
+            return None
+        T[k:] -= T[k:].take(struct, 1) @ T[:k]
+    if slack_of:
+        T[k:] *= np.array([1.0 if A[r][col] > 0 else -1.0 for r, col in slack_of.items()])[:, None]
+    if list(basis[:k]) != struct:  # struct and slack positions interleave
+        T[sorted(range(len(M)), key=lambda p: basis[p] in slack_cols)] = T.copy()
+    return T
+
+
+def _float_dual(A, M, cost, basis, slack_cols):
+    """Float dual simplex on [A | b] = ``M`` from ``basis`` over the
+    structural and slack columns; returns (status, basis), status one of
+    'optimal', 'infeasible' or 'pivot_limit', or None when the basis is
+    singular or not dual feasible.
 
     Each pivot leaves on the row whose infeasibility x_r^2 is largest
     relative to its squared tableau row norm (a steepest-edge weight; the
@@ -214,11 +243,10 @@ def _float_dual(A, cost, b, scale, ncols, basis):
     m=2 where a cold solve takes 103).  It enters the column minimising
     red_j / |T_rj| over T_rj < 0, with reduced costs within FLOAT_TOL of 0
     taken as 0, so that degenerate ties go to the smallest column."""
-    M = _dense(A, b, scale, ncols, 0)
-    try:
-        T = np.linalg.inv(M[:, basis]) @ M
-    except np.linalg.LinAlgError:
+    T = _tableau(A, M, basis, slack_cols)
+    if T is None:
         return None, basis
+    ncols = M.shape[1] - 1
     basis = list(basis)
     obj = np.array([_float(v) for v in cost])
     red = obj - obj[basis] @ T[:, :ncols]
@@ -241,30 +269,27 @@ def _float_dual(A, cost, b, scale, ncols, basis):
     return "pivot_limit", basis
 
 
-def _reconstructed(A, cost, b, scale, struct, tight):
+def _reconstructed(M, cost, struct, tight):
     """Candidate (x over struct, y over tight) from float solves of the
-    basis, each value rounded to the nearest rational with denominator at
-    most MAX_DENOMINATOR; None if the float basis is singular.
+    basis core in ``M``, each value rounded to the nearest rational with
+    denominator at most MAX_DENOMINATOR; None if the float core is singular.
 
     The basis is solved afresh: B^-1 read off the tableau's artificial
     columns carries every pivot's error (on the depth-0 K4 layered instance
     at m=4 its duals were off by up to 3e-4, and 5 of 261 master LPs failed
     certification into the cold Bland fallback; fresh solves certify all)."""
-    pos = {c: k for k, c in enumerate(struct)}
-    B = np.zeros((len(tight), len(struct)))
-    for k, r in enumerate(tight):
-        for c, a in A[r].items():
-            if c in pos:
-                B[k, pos[c]] = a / scale[r]
+    R = M.take(tight, 0)
+    B = R.take(struct, 1)
     try:
-        xs = np.linalg.solve(B, [b[r] / scale[r] for r in tight])
+        xs = np.linalg.solve(B, R[:, -1])
         ys = np.linalg.solve(B.T, [_float(cost[c]) for c in struct])
     except np.linalg.LinAlgError:
         return None
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         return None
-    return ([Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in xs.tolist()],
-            [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in ys.tolist()])
+    return tuple([Fraction(round(v)) if v.is_integer() else
+                  Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in vs.tolist()]
+                 for vs in (xs, ys))
 
 
 def _check(A, cost, b, scale, slack_of, struct, tight, xs, ys):
@@ -326,26 +351,18 @@ def _check(A, cost, b, scale, slack_of, struct, tight, xs, ys):
     return x, obj, y
 
 
-def _certify(A, cost, b, scale, ncols, basis, slack_cols):
-    """Exact optimality proof of a candidate basis; returns (x, obj, y) or None.
-
-    Basic slack columns are singletons, so the basis reduces to the tight
-    rows (those whose slack is nonbasic) against the basic structural
-    columns.  Its candidate comes from rational reconstruction; if that
-    fails or the check rejects it, the caller falls back to the exact
-    simplex.
-    """
-    m = len(A)
-    if any(col >= ncols for col in basis):
+def _certify(A, cost, b, scale, M, basis, slack_cols):
+    """Exact optimality proof of a candidate basis; returns (x, obj, y) or
+    None.  The candidate comes from rational reconstruction on the basis
+    core (see ``_split``); if that fails or the check rejects it, the
+    caller falls back to the exact simplex."""
+    if any(col >= M.shape[1] - 1 for col in basis):
         return None  # artificial left in the basis; use the exact path
-    if len(set(basis)) != m:
+    split = _split(basis, slack_cols, len(A))
+    if split is None:
         return None
-    struct = [col for col in basis if col not in slack_cols]
-    slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
-    tight = [r for r in range(m) if r not in slack_of]
-    if len(tight) != len(struct):
-        return None
-    cand = _reconstructed(A, cost, b, scale, struct, tight)
+    struct, slack_of, tight = split
+    cand = _reconstructed(M, cost, struct, tight)
     if cand is None:
         return None
     return _check(A, cost, b, scale, slack_of, struct, tight, *cand)
@@ -425,17 +442,14 @@ def _exact_simplex(A, cost, b, scale, ncols):
     return x, obj, y
 
 
-def _start_basis(start, num_vars, m, slack_cols):
-    """The column list of ``start = (cols, rows)``, or None when it names
-    an unknown column, a row without a slack or the wrong number of
-    columns."""
+def _start_basis(start, num_vars, slack_cols):
+    """The column list of ``start = (cols, rows)``, or None when it names an
+    unknown column or a row without a slack (``_split`` checks its size)."""
     cols, srows = start
     slack_of = {r: col for col, r in slack_cols.items()}
-    if len(cols) + len(srows) != m or not all(0 <= j < num_vars for j in cols):
-        return None
-    if not all(r in slack_of for r in srows):
-        return None
-    return list(cols) + [slack_of[r] for r in srows]
+    if all(0 <= j < num_vars for j in cols) and all(r in slack_of for r in srows):
+        return list(cols) + [slack_of[r] for r in srows]
+    return None
 
 
 def solve_min(num_vars, c, rows, senses, rhs, start=None) -> LpSolution:
@@ -450,27 +464,31 @@ def solve_min(num_vars, c, rows, senses, rhs, start=None) -> LpSolution:
     basis; a start that is malformed, singular or not dual feasible is
     ignored.  It changes which optimum may be found, never its exactness.
     """
+    if not (len(c) == num_vars and len(rows) == len(senses) == len(rhs)):
+        raise LpError(f"{len(c)} costs for {num_vars} variables, {len(rows)} rows, "
+                      f"{len(senses)} senses and {len(rhs)} right-hand sides")
     if not rows:
         if any(c[j] < 0 for j in range(num_vars)):
             raise LpUnbounded("negative cost with no constraints")
         return LpSolution(x=[Fraction(0)] * num_vars, objective=Fraction(0), duals=[],
                           basis=((), ()))
     A, cost, b, scale, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
+    M = _dense(A, b, scale, ncols)
 
     # only a float optimum is worth certifying; every other status (and a
     # failed certificate) passes to the next source of an answer
     result = None
-    basis = None if start is None else _start_basis(start, num_vars, len(A), slack_cols)
+    basis = None if start is None else _start_basis(start, num_vars, slack_cols)
     if basis is not None:
-        status, basis = _float_dual(A, cost, b, scale, ncols, basis)
+        status, basis = _float_dual(A, M, cost, basis, slack_cols)
         if status == "optimal":
-            result = _certify(A, cost, b, scale, ncols, basis, slack_cols)
+            result = _certify(A, cost, b, scale, M, basis, slack_cols)
     if result is None:
-        status, basis = _float_simplex(A, cost, b, scale, ncols)
+        status, basis = _float_simplex(M, cost)
         if status == "pivot_limit":  # Dantzig's rule cycled
-            status, basis = _float_simplex(A, cost, b, scale, ncols, bland=True)
+            status, basis = _float_simplex(M, cost, bland=True)
         if status == "optimal":
-            result = _certify(A, cost, b, scale, ncols, basis, slack_cols)
+            result = _certify(A, cost, b, scale, M, basis, slack_cols)
     if result is None:
         result = _exact_simplex(A, cost, b, scale, ncols)
         basis = None

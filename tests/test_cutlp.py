@@ -87,17 +87,17 @@ def test_pool_is_refreshed_with_tight_cuts():
 
 def test_every_round_is_settled_by_the_warm_dual_simplex(monkeypatch):
     """Each round after the first starts from the last certified basis plus
-    the new cuts' slacks; on the depth-0 K4 layered instance at m=3 the
-    float dual simplex certifies every round, so neither the cold two-phase
-    simplex nor the Bland tableau runs."""
-    cold = []
-    for name in ("_float_simplex", "_exact_simplex"):
-        run = getattr(simplex, name)
-        monkeypatch.setattr(simplex, name,
-                            lambda *a, name=name, run=run: cold.append(name) or run(*a))
-    inst = layered_instance(build_layered(make_base("k4"), m=3, k=0))
-    assert solve_lp(inst).value == 12
-    assert cold == []
+    the new cuts' slacks; on the depth-0 K4 layered instance at m=3 and m=4
+    the float dual simplex certifies every round (the first starts from the
+    slack basis), so neither the cold two-phase simplex nor the Bland
+    tableau runs."""
+    def cold(*args, **kwargs):
+        raise AssertionError("a round left the warm dual simplex")
+    monkeypatch.setattr(simplex, "_float_simplex", cold)
+    monkeypatch.setattr(simplex, "_exact_simplex", cold)
+    for m, value in ((3, 12), (4, 15)):
+        inst = layered_instance(build_layered(make_base("k4"), m=m, k=0))
+        assert solve_lp(inst).value == value
 
 
 def test_solution_is_feasible_and_cuts_tight():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsf import simplex
+from pcsf.cutlp import matrix_rank_exact
 from pcsf.simplex import LpError, LpInfeasible, LpUnbounded, solve_min
 
 
@@ -99,7 +100,7 @@ def test_float_pivot_limit_is_not_optimal(monkeypatch):
     exact = solve_min(*args)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     A, cost, b, scale, _, ncols, _ = simplex._standardize(*args)
-    status, _ = simplex._float_simplex(A, cost, b, scale, ncols)
+    status, _ = simplex._float_simplex(simplex._dense(A, b, scale, ncols), cost)
     assert status == "pivot_limit"
     capped = solve_min(*args)
     assert (capped.objective, capped.x, capped.duals) == (exact.objective, exact.x, exact.duals)
@@ -117,6 +118,19 @@ def test_rejects_unknown_sense_and_column():
         solve_min(1, [Fraction(1)], [{0: 1}], ["=="], [1])
     with pytest.raises(LpError, match="column"):
         solve_min(1, [Fraction(1)], [{1: 1}], [">="], [1])
+
+
+@pytest.mark.parametrize("args", [
+    (1, [1], [{0: 1}], [">=", ">="], [1, 5]),     # x >= 5 has no row
+    (1, [1], [{0: 1}, {0: 1}], [">="], [1, 5]),   # a row without a sense
+    (1, [1], [{0: 1}, {0: 1}], [">=", ">="], [1]),  # a row without a rhs
+    (2, [1], [{0: 1}], [">="], [1]),              # a variable without a cost
+    (1, [1, -1], [{0: 1}], [">="], [1]),          # a cost without a variable
+    (1, [1, -1], [], [], []),                     # also with no rows
+])
+def test_rejects_mismatched_lengths(args):
+    with pytest.raises(LpError, match="costs for"):
+        solve_min(*args)
 
 
 def outcome(solve):
@@ -181,11 +195,12 @@ def test_certify_accepts_only_optimal_bases(bound, lp):
     bound at 1 most reconstructed candidates are wrong and the exact check
     has to catch them."""
     A, cost, b, scale, flip, ncols, slack_cols = simplex._standardize(*lp)
+    M = simplex._dense(A, b, scale, ncols)
     saved = simplex.MAX_DENOMINATOR
     simplex.MAX_DENOMINATOR = bound
     try:
         for basis in combinations(range(ncols), len(A)):
-            result = simplex._certify(A, cost, b, scale, ncols, list(basis), slack_cols)
+            result = simplex._certify(A, cost, b, scale, M, list(basis), slack_cols)
             if result is not None:
                 x, obj, y = result
                 assert_optimal(lp, x[:lp[0]], [-v if f else v for v, f in zip(y, flip)], obj)
@@ -324,7 +339,8 @@ def test_float_simplex_matches_row_by_row_reference():
             senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 6)) for _ in range(m)]
         A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(n, c, rows, senses, rhs)
-        got = simplex._float_simplex(A, cost, b, scale, ncols)
+        M = simplex._dense(A, b, scale, ncols)
+        got = simplex._float_simplex(M, cost)
         assert got == reference_float_simplex(A, cost, b, scale, ncols)
         statuses.add(got[0])
         # the dual phase from the slack basis where every row has a slack,
@@ -334,7 +350,7 @@ def test_float_simplex_matches_row_by_row_reference():
         else:
             basis = rng.sample(range(ncols), len(A)) if ncols >= len(A) else None
         if basis is not None:
-            got = simplex._float_dual(A, cost, b, scale, ncols, basis)
+            got = simplex._float_dual(A, M, cost, basis, slack_cols)
             assert got == reference_float_dual(A, cost, b, scale, ncols, basis)
             dual_statuses.add(got[0])
     assert statuses == {"optimal", "infeasible", "unbounded"}
@@ -365,13 +381,52 @@ def test_rejected_start_gives_the_cold_answer(lp, start):
     assert (warm.objective, warm.x, warm.duals) == (cold.objective, cold.x, cold.duals)
 
 
+@st.composite
+def lps_with_bases(draw):
+    """Covering or mixed-sense LPs with small int coefficients on 1..5
+    variables and 1..6 rows, and a list of as many columns as rows in any
+    order: structural and slack columns mixed, mostly without repeats."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    cols = st.sets(st.integers(0, n - 1), min_size=1)
+    if draw(st.booleans()):
+        rows = [{j: draw(st.integers(1, 3)) for j in draw(cols)} for _ in range(m)]
+        senses, rhs = [">="] * m, [draw(st.integers(0, 4)) for _ in range(m)]
+    else:
+        rows = [{j: draw(st.integers(-3, 3)) for j in draw(cols)} for _ in range(m)]
+        senses = [draw(st.sampled_from(["<=", ">=", "="])) for _ in range(m)]
+        rhs = [draw(st.integers(-4, 4)) for _ in range(m)]
+    c = [draw(st.integers(0, 6)) for _ in range(n)]
+    ncols = n + sum(sense != "=" for sense in senses)
+    unique = ncols >= m and draw(st.integers(0, 3)) > 0
+    basis = draw(st.lists(st.integers(0, ncols - 1), min_size=m, max_size=m, unique=unique))
+    return (n, c, rows, senses, rhs), basis
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lps_with_bases())
+def test_core_tableau_matches_full_inverse(case):
+    """The tableau built from the basis core equals inv(B) @ M to 1e-9, and
+    is None exactly when B is singular, by its exact rank."""
+    lp, basis = case
+    A, _, b, scale, _, ncols, slack_cols = simplex._standardize(*lp)
+    M = simplex._dense(A, b, scale, ncols)
+    got = simplex._tableau(A, M, basis, slack_cols)
+    rank = matrix_rank_exact([{k: row.get(col, 0) for k, col in enumerate(basis)} for row in A])
+    assert (got is None) == (rank < len(A))
+    if got is not None:
+        want = np.linalg.inv(M[:, basis]) @ M
+        assert np.abs(got - want).max() <= 1e-9
+
+
 def test_dual_pivot_limit_is_not_optimal(monkeypatch):
     cold = solve_min(*COVER)
     slack_basis = ((), (0, 1))
     assert solve_min(*COVER, start=slack_basis).basis == ((0, 1), ())
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*COVER)
-    status, _ = simplex._float_dual(A, cost, b, scale, ncols, sorted(slack_cols))
+    M = simplex._dense(A, b, scale, ncols)
+    status, _ = simplex._float_dual(A, M, cost, sorted(slack_cols), slack_cols)
     assert status == "pivot_limit"
     capped = solve_min(*COVER, start=slack_basis)
     assert (capped.objective, capped.x, capped.duals) == (cold.objective, cold.x, cold.duals)
@@ -455,7 +510,7 @@ def test_dense_is_the_float_of_the_callers_rows(lp):
         want[i, ncols] = float(abs(Fraction(bi)))
     A, _, b, scale, _, got_ncols, _ = simplex._standardize(*lp)
     assert got_ncols == ncols
-    got = simplex._dense(A, b, scale, ncols, 0)
+    got = simplex._dense(A, b, scale, ncols)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -503,6 +558,7 @@ def test_integer_check_matches_fraction_check(bound, lp):
     check on the caller's rows.  With the bound at 1 most candidates are
     wrong, so rejections are compared too."""
     A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*lp)
+    M = simplex._dense(A, b, scale, ncols)
     rows = [{j: Fraction(a, s) for j, a in row.items()} for row, s in zip(A, scale)]
     rhs = [Fraction(v, s) for v, s in zip(b, scale)]
     with pytest.MonkeyPatch.context() as mp:
@@ -513,7 +569,7 @@ def test_integer_check_matches_fraction_check(bound, lp):
             tight = [r for r in range(len(A)) if r not in slack_of]
             if len(tight) != len(struct):
                 continue
-            cand = simplex._reconstructed(A, cost, b, scale, struct, tight)
+            cand = simplex._reconstructed(M, cost, struct, tight)
             if cand is None:
                 continue
             assert simplex._check(A, cost, b, scale, slack_of, struct, tight, *cand) == \
