@@ -390,8 +390,7 @@ class FeasibilityResult:
     witness: DualWitness | None
 
 
-def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta,
-                        edge_cap: int = DEFAULT_IP_EDGE_CAP) -> FeasibilityResult:
+def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta) -> FeasibilityResult:
     """Does a mixture dominated by (beta*x, z) exist?  The packing LP: max
     total weight of a sub-convex mixture dominated by (beta*x, z); value 1
     means a full distribution exists and the optimal dual is a certificate
@@ -403,7 +402,7 @@ def feasibility_at_beta(inst: PcsfInstance, point: FracSolution, beta,
                 for e in range(inst.graph.num_edges)}
     z_target = {i: point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)}
     value, dist, witness = _dominate(inst, x_target, z_target, scaled=False,
-                                     scale_z=False, method="cg", edge_cap=edge_cap)
+                                     scale_z=False, method="cg", edge_cap=DEFAULT_IP_EDGE_CAP)
     return FeasibilityResult(value=value, dist=dist if value == 1 else None, witness=witness)
 
 
@@ -426,6 +425,8 @@ def witness_costs_from_dual(w: DualWitness, mode: str = "gap", beta=None) -> Pcs
         if beta is None:
             raise InstanceError("lmp mode needs beta")
         beta = Fraction(beta)
+        if beta <= 0:
+            raise InstanceError(f"lmp witness needs beta > 0 to divide rho by, got {beta}")
         pens = {i: (INF if i in w.forced_pairs else w.rho.get(i, Fraction(0)) / beta)
                 for i in range(w.inst.num_pairs)}
     else:

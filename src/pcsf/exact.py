@@ -145,7 +145,7 @@ def enumerate_forests(graph, pairs=(), edge_cap: int = ENUM_EDGE_CAP):
     return out
 
 
-def enumerate_ip(inst: PcsfInstance, edge_cap: int = ENUM_EDGE_CAP):
+def enumerate_ip(inst: PcsfInstance):
     """Exhaustive optimum: (optimal value, all optimal solutions).  Forests are
     compared in ints, scaled by the lcm of every finite value's denominator."""
     hard = frozenset(i for i in range(inst.num_pairs) if inst.is_infinite(i))
@@ -154,7 +154,7 @@ def enumerate_ip(inst: PcsfInstance, edge_cap: int = ENUM_EDGE_CAP):
     costs = [int(inst.costs[e] * scale) for e in range(inst.graph.num_edges)]
     pens = [int(p * scale) for p in pens]
     best, optima = None, []
-    for forest, miss in enumerate_forests(inst.graph, inst.pairs, edge_cap=edge_cap):
+    for forest, miss in enumerate_forests(inst.graph, inst.pairs):
         if not hard.isdisjoint(miss):
             continue
         value = sum(costs[e] for e in forest) + sum(pens[i] for i in miss)

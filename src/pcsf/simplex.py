@@ -1,20 +1,20 @@
 """Exact rational LP solver.
 
 All variables are nonnegative; rows are sparse dicts with senses in
-{'<=', '>=', '='}.  Each row is scaled once to integers (``_standardize``),
-so the exact work below is done in Python ints.  A solve tries these
-sources of an answer in turn:
+{'<=', '>=', '='}.  Each row is scaled once to integers, with its float
+image built in the same pass (``_standardize``), so the exact work below
+is done in Python ints.  ``_core`` is the one place a basis is factored:
+it inverts the core, the tight rows (whose slack is nonbasic) against the
+basic structural columns.  A solve tries these sources of an answer in turn:
 
 1. A float tableau simplex guesses an optimal basis.  Given a starting
    basis that is dual feasible (the cutting-plane loop hands each round
-   the last round's basis), a dual simplex repairs it; otherwise, or if
-   its basis fails the check, a two-phase primal simplex (Dantzig's rule)
-   starts from the artificial basis.  If that reaches its pivot limit
-   (Dantzig's rule can cycle), it starts over with the Bland tableau's
-   own rules.  The dual simplex factors only the basis core, the tight
-   rows (whose slack is nonbasic) against the basic structural columns:
-   each basic slack's tableau row follows from its own row (``_tableau``).
-2. Float solves of that basis core give x_B and the duals y, which
+   the last round's basis), a dual simplex repairs it from the tableau
+   that the core inverse gives (``_tableau``); otherwise, or if its basis
+   fails the check, a two-phase primal simplex (Dantzig's rule) starts
+   from the artificial basis.  If that reaches its pivot limit (Dantzig's
+   rule can cycle), it starts over with the Bland tableau's own rules.
+2. The core inverse of that basis gives x_B and the duals y, which
    rational reconstruction (``limit_denominator``) turns into a candidate.
 3. One exact check on the integer rows accepts a candidate only as a full
    optimality proof: B x_B = b on the tight rows, x_B and the basic slacks
@@ -67,9 +67,9 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def _standardize(num_vars, c, rows, senses, rhs):
-    """Equality standard form with slack columns, in integers.
+    """Equality standard form with slack columns, in integers and floats.
 
-    Returns ``(A, cost, b, scale, flip, ncols, slack_cols)``.  Row i is
+    Returns ``(A, cost, b, scale, flip, ncols, slack_cols, M)``.  Row i is
     scaled once by ``scale[i]``, the lcm of its coefficient and rhs
     denominators: ``A[i]`` maps each column with a nonzero coefficient in
     row i to an int, its slack to +-scale[i], and ``b[i]`` is an int, so
@@ -77,8 +77,13 @@ def _standardize(num_vars, c, rows, senses, rhs):
     Fraction per column and ``slack_cols`` maps each slack column to its
     row.  Rows with negative rhs are negated (sense flipped) so b >= 0; the
     ``flip`` list maps duals back to the caller's orientation.
+
+    ``M`` is the float matrix [A | b] of the caller's rows, filled in the
+    same pass: int / int is correctly rounded, as is float(Fraction), so
+    every entry is the float of the caller's exact coefficient, bit for bit.
     """
     A, b, scale, flip, slack_cols = [], [], [], [], {}
+    ii, jj, vals, fb = [], [], [], []  # M's nonzero entries and its last column
     ncols = num_vars
     for i, (row, sense, bi) in enumerate(zip(rows, senses, rhs)):
         if sense not in _FLIP:
@@ -103,29 +108,20 @@ def _standardize(num_vars, c, rows, senses, rhs):
         b.append(sign * bi.numerator * (s // bi.denominator))
         scale.append(s)
         flip.append(neg)
+        ii += [i] * len(out)
+        jj += out
+        vals += [a / s for a in out.values()]
+        fb.append(b[-1] / s)
     cost = [v if type(v) is Fraction else Fraction(v) for v in c]
     cost += [Fraction(0)] * (ncols - num_vars)
-    return A, cost, b, scale, flip, ncols, slack_cols
+    M = np.zeros((len(A), ncols + 1))
+    M[ii, jj] = vals
+    M[:, -1] = fb
+    return A, cost, b, scale, flip, ncols, slack_cols, M
 
 
 def _float(q):
     return q.numerator / q.denominator  # what float(Fraction) computes
-
-
-def _dense(A, b, scale, ncols):
-    """Float matrix [A | b] of the caller's rows (each integer row divided
-    by its scale), built once per solve.
-
-    int / int is correctly rounded, as is float(Fraction), so every entry
-    is the float of the caller's exact coefficient, bit for bit."""
-    M = np.zeros((len(A), ncols + 1))
-    entries = [(i, j, a / s) for i, (row, s) in enumerate(zip(A, scale))
-               for j, a in row.items()]
-    if entries:
-        ii, jj, vals = zip(*entries)
-        M[ii, jj] = vals
-    M[:, -1] = [v / s for v, s in zip(b, scale)]
-    return M
 
 
 def _pivot(T, r, col):
@@ -195,36 +191,41 @@ def _float_simplex(M, cost, bland=False):
     return run(obj2, ncols), basis
 
 
-def _split(basis, slack_cols, m):
-    """(basic structural columns, {row: its basic slack column}, tight rows),
-    the first two in basis order, of m distinct columns; else None.  The
-    basis is singular exactly when its core, the tight rows against the
-    structural columns, is: a slack column is a singleton in its own row."""
-    if len(basis) != m or len(set(basis)) != m:
+def _core(M, basis, slack_cols):
+    """(basic structural columns, {row: its basic slack column}, tight rows,
+    core^-1), the first two in basis order, of a basis of [A | b] = ``M``;
+    the one place a basis is factored.  The core is the tight rows (whose
+    slack is nonbasic) against the structural columns.  A slack column is a
+    singleton in its own row, so B is singular exactly when its core is.
+    None for other than m distinct columns, an artificial column
+    (col >= ncols) or a singular core."""
+    m = len(M)
+    if len(basis) != m or len(set(basis)) != m or any(col >= M.shape[1] - 1 for col in basis):
         return None
     slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
-    return ([col for col in basis if col not in slack_cols], slack_of,
-            [r for r in range(m) if r not in slack_of])
+    struct = [col for col in basis if col not in slack_cols]
+    tight = [r for r in range(m) if r not in slack_of]
+    try:
+        inv = np.linalg.inv(M.take(tight, 0).take(struct, 1))
+    except np.linalg.LinAlgError:
+        return None
+    return struct, slack_of, tight, inv
 
 
 def _tableau(A, M, basis, slack_cols):
     """The tableau B^-1 [A | b] of B = M[:, basis], rows in basis order, or
-    None when B is singular.  The structural rows are U = core^-1 M[tight];
-    a slack basic in row r gets (M[r] - M[r, struct] U) / its +-1 entry."""
-    split = _split(basis, slack_cols, len(M))
-    if split is None:
+    None when ``_core`` rejects the basis.  The structural rows are
+    U = core^-1 M[tight]; a slack basic in row r gets
+    (M[r] - M[r, struct] U) / its +-1 entry."""
+    core = _core(M, basis, slack_cols)
+    if core is None:
         return None
-    struct, slack_of, tight = split
+    struct, slack_of, tight, inv = core
     k = len(struct)
     T = M.take(tight + list(slack_of), 0)  # the core's rows, then the basic slacks'
-    if k:
-        try:
-            T[:k] = np.linalg.inv(T[:k].take(struct, 1)) @ T[:k]
-        except np.linalg.LinAlgError:
-            return None
-        T[k:] -= T[k:].take(struct, 1) @ T[:k]
-    if slack_of:
-        T[k:] *= np.array([1.0 if A[r][col] > 0 else -1.0 for r, col in slack_of.items()])[:, None]
+    T[:k] = inv @ T[:k]
+    T[k:] -= T[k:].take(struct, 1) @ T[:k]
+    T[k:] *= np.array([1.0 if A[r][col] > 0 else -1.0 for r, col in slack_of.items()])[:, None]
     if list(basis[:k]) != struct:  # struct and slack positions interleave
         T[sorted(range(len(M)), key=lambda p: basis[p] in slack_cols)] = T.copy()
     return T
@@ -269,27 +270,11 @@ def _float_dual(A, M, cost, basis, slack_cols):
     return "pivot_limit", basis
 
 
-def _reconstructed(M, cost, struct, tight):
-    """Candidate (x over struct, y over tight) from float solves of the
-    basis core in ``M``, each value rounded to the nearest rational with
-    denominator at most MAX_DENOMINATOR; None if the float core is singular.
-
-    The basis is solved afresh: B^-1 read off the tableau's artificial
-    columns carries every pivot's error (on the depth-0 K4 layered instance
-    at m=4 its duals were off by up to 3e-4, and 5 of 261 master LPs failed
-    certification into the cold Bland fallback; fresh solves certify all)."""
-    R = M.take(tight, 0)
-    B = R.take(struct, 1)
-    try:
-        xs = np.linalg.solve(B, R[:, -1])
-        ys = np.linalg.solve(B.T, [_float(cost[c]) for c in struct])
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        return None
-    return tuple([Fraction(round(v)) if v.is_integer() else
-                  Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in vs.tolist()]
-                 for vs in (xs, ys))
+def _rational(vs):
+    """Each float of ``vs`` as the nearest rational with denominator at most
+    MAX_DENOMINATOR."""
+    return [Fraction(round(v)) if v.is_integer() else
+            Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in vs.tolist()]
 
 
 def _check(A, cost, b, scale, slack_of, struct, tight, xs, ys):
@@ -353,19 +338,22 @@ def _check(A, cost, b, scale, slack_of, struct, tight, xs, ys):
 
 def _certify(A, cost, b, scale, M, basis, slack_cols):
     """Exact optimality proof of a candidate basis; returns (x, obj, y) or
-    None.  The candidate comes from rational reconstruction on the basis
-    core (see ``_split``); if that fails or the check rejects it, the
-    caller falls back to the exact simplex."""
-    if any(col >= M.shape[1] - 1 for col in basis):
-        return None  # artificial left in the basis; use the exact path
-    split = _split(basis, slack_cols, len(A))
-    if split is None:
+    None, and then the caller falls back to the exact simplex.
+
+    The candidate is x_B = core^-1 b_tight and y = c_struct core^-1 made
+    rational, with the core factored afresh: B^-1 read off a tableau
+    carries every pivot's error (on the depth-0 K4 layered instance at m=4
+    its duals were off by up to 3e-4, and 5 of 261 master LPs failed
+    certification into the cold Bland fallback; fresh factors certify all)."""
+    core = _core(M, basis, slack_cols)
+    if core is None:
         return None
-    struct, slack_of, tight = split
-    cand = _reconstructed(M, cost, struct, tight)
-    if cand is None:
+    struct, slack_of, tight, inv = core
+    xs = inv @ M[tight, -1]
+    ys = np.array([_float(cost[c]) for c in struct]) @ inv
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         return None
-    return _check(A, cost, b, scale, slack_of, struct, tight, *cand)
+    return _check(A, cost, b, scale, slack_of, struct, tight, _rational(xs), _rational(ys))
 
 
 def _exact_simplex(A, cost, b, scale, ncols):
@@ -444,7 +432,7 @@ def _exact_simplex(A, cost, b, scale, ncols):
 
 def _start_basis(start, num_vars, slack_cols):
     """The column list of ``start = (cols, rows)``, or None when it names an
-    unknown column or a row without a slack (``_split`` checks its size)."""
+    unknown column or a row without a slack (``_core`` checks its size)."""
     cols, srows = start
     slack_of = {r: col for col, r in slack_cols.items()}
     if all(0 <= j < num_vars for j in cols) and all(r in slack_of for r in srows):
@@ -472,8 +460,7 @@ def solve_min(num_vars, c, rows, senses, rhs, start=None) -> LpSolution:
             raise LpUnbounded("negative cost with no constraints")
         return LpSolution(x=[Fraction(0)] * num_vars, objective=Fraction(0), duals=[],
                           basis=((), ()))
-    A, cost, b, scale, flip, ncols, slack_cols = _standardize(num_vars, c, rows, senses, rhs)
-    M = _dense(A, b, scale, ncols)
+    A, cost, b, scale, flip, ncols, slack_cols, M = _standardize(num_vars, c, rows, senses, rhs)
 
     # only a float optimum is worth certifying; every other status (and a
     # failed certificate) passes to the next source of an answer

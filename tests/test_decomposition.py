@@ -304,6 +304,18 @@ def test_witness_rejects_degenerate_dual():
             mode="lmp")  # lmp needs beta
 
 
+def test_lmp_witness_needs_a_positive_beta():
+    # the empty forest dominates (x, z) on the path a-b-c, so beta* = 0
+    inst = PcsfInstance(Graph(3, [(0, 1), (1, 2)]), {0: Fraction(1), 1: Fraction(1)},
+                        [(0, 2)], {0: Fraction(1)})
+    point = FracSolution(x={0: Fraction(1, 2), 1: Fraction(1, 2)}, z={0: Fraction(1)})
+    beta, _, w = dec.min_beta(inst, point)
+    assert beta == 0
+    for bad in (beta, Fraction(-1)):
+        with pytest.raises(InstanceError, match="beta"):
+            dec.witness_costs_from_dual(w, mode="lmp", beta=bad)
+
+
 # --- witness nodes and chain tracing --------------------------------------
 
 def test_trim_support_removes_stranded_components():

@@ -155,3 +155,23 @@ def test_only_graph_py_changes_a_graph():
             if any(_changes_graph_field(t) for t in targets):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"Graph fields changed outside graph.py: {found}"
+
+
+def test_only_simplex_core_factors_a_matrix():
+    # one function decides how a basis is factored: every np.linalg call in
+    # src sits inside simplex._core
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and "linalg" in ast.unparse(child.func).split(".")
+                    and (path.name, function) != ("simplex.py", "_core")):
+                found.append(f"{path.name}:{child.lineno} in {function}")
+            visit(child, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    assert not found, f"np.linalg calls outside simplex._core: {found}"

@@ -84,7 +84,7 @@ def test_certified_path_matches_exact_fallback():
             fast = "infeasible"
         except LpUnbounded:
             fast = "unbounded"
-        A, cost, b, scale, flip, ncols, _ = simplex._standardize(n, c, rows, senses, rhs)
+        A, cost, b, scale, flip, ncols, _, _ = simplex._standardize(n, c, rows, senses, rhs)
         try:
             slow = simplex._exact_simplex(A, cost, b, scale, ncols)[1]
         except LpInfeasible:
@@ -99,8 +99,8 @@ def test_float_pivot_limit_is_not_optimal(monkeypatch):
     args = (2, [Fraction(4), Fraction(5)], rows, [">=", ">="], [3, 4])
     exact = solve_min(*args)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-    A, cost, b, scale, _, ncols, _ = simplex._standardize(*args)
-    status, _ = simplex._float_simplex(simplex._dense(A, b, scale, ncols), cost)
+    _, cost, _, _, _, _, _, M = simplex._standardize(*args)
+    status, _ = simplex._float_simplex(M, cost)
     assert status == "pivot_limit"
     capped = solve_min(*args)
     assert (capped.objective, capped.x, capped.duals) == (exact.objective, exact.x, exact.duals)
@@ -162,7 +162,7 @@ def lps(draw):
 def test_solve_min_against_exact_simplex(lp):
     n, c, rows, senses, rhs = lp
     sol = outcome(lambda: solve_min(*lp))
-    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    A, cost, b, scale, _, ncols, _, _ = simplex._standardize(*lp)
     slow = outcome(lambda: simplex._exact_simplex(A, cost, b, scale, ncols))
     if isinstance(slow, str):
         assert sol == slow
@@ -194,8 +194,7 @@ def test_certify_accepts_only_optimal_bases(bound, lp):
     ones it accepts must come with an exact optimality proof.  With the
     bound at 1 most reconstructed candidates are wrong and the exact check
     has to catch them."""
-    A, cost, b, scale, flip, ncols, slack_cols = simplex._standardize(*lp)
-    M = simplex._dense(A, b, scale, ncols)
+    A, cost, b, scale, flip, ncols, slack_cols, M = simplex._standardize(*lp)
     saved = simplex.MAX_DENOMINATOR
     simplex.MAX_DENOMINATOR = bound
     try:
@@ -338,8 +337,7 @@ def test_float_simplex_matches_row_by_row_reference():
                      for j in rng.sample(range(n), rng.randint(1, n))} for _ in range(m)]
             senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 6)) for _ in range(m)]
-        A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(n, c, rows, senses, rhs)
-        M = simplex._dense(A, b, scale, ncols)
+        A, cost, b, scale, _, ncols, slack_cols, M = simplex._standardize(n, c, rows, senses, rhs)
         got = simplex._float_simplex(M, cost)
         assert got == reference_float_simplex(A, cost, b, scale, ncols)
         statuses.add(got[0])
@@ -409,8 +407,7 @@ def test_core_tableau_matches_full_inverse(case):
     """The tableau built from the basis core equals inv(B) @ M to 1e-9, and
     is None exactly when B is singular, by its exact rank."""
     lp, basis = case
-    A, _, b, scale, _, ncols, slack_cols = simplex._standardize(*lp)
-    M = simplex._dense(A, b, scale, ncols)
+    A, _, b, scale, _, ncols, slack_cols, M = simplex._standardize(*lp)
     got = simplex._tableau(A, M, basis, slack_cols)
     rank = matrix_rank_exact([{k: row.get(col, 0) for k, col in enumerate(basis)} for row in A])
     assert (got is None) == (rank < len(A))
@@ -424,8 +421,7 @@ def test_dual_pivot_limit_is_not_optimal(monkeypatch):
     slack_basis = ((), (0, 1))
     assert solve_min(*COVER, start=slack_basis).basis == ((0, 1), ())
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-    A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*COVER)
-    M = simplex._dense(A, b, scale, ncols)
+    A, cost, b, scale, _, ncols, slack_cols, M = simplex._standardize(*COVER)
     status, _ = simplex._float_dual(A, M, cost, sorted(slack_cols), slack_cols)
     assert status == "pivot_limit"
     capped = solve_min(*COVER, start=slack_basis)
@@ -441,6 +437,29 @@ def test_start_from_the_certified_basis_needs_no_pivot(monkeypatch):
     assert (again.objective, again.x, again.duals, again.basis) == \
         (sol.objective, sol.x, sol.duals, sol.basis)
     assert pivots == []
+
+
+def test_certify_factors_the_core_once(monkeypatch):
+    """A cold certified solve factors one basis core, the certified one; a
+    warm solve from a dual-feasible start factors two, the start's and the
+    certified one."""
+    calls = []
+    for name in ("inv", "solve", "lstsq", "pinv", "qr", "svd", "cholesky", "det", "slogdet"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    cold = solve_min(*COVER)
+    assert len(calls) == 1
+    calls.clear()
+
+    def cold_path(*args, **kwargs):
+        raise AssertionError("the warm start was not taken")
+
+    monkeypatch.setattr(simplex, "_float_simplex", cold_path)
+    # x0 and the second row's slack: dual feasible, primal infeasible
+    warm = solve_min(*COVER, start=((0,), (1,)))
+    assert len(calls) == 2
+    assert (warm.objective, warm.x, warm.duals) == (cold.objective, cold.x, cold.duals)
 
 
 @st.composite
@@ -465,7 +484,7 @@ def covering_lps(draw):
 def test_warm_start_against_exact_simplex(case):
     lp, start = case
     sol = solve_min(*lp, start=start)
-    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    A, cost, b, scale, _, ncols, _, _ = simplex._standardize(*lp)
     assert sol.objective == simplex._exact_simplex(A, cost, b, scale, ncols)[1]
     assert_optimal(lp, sol.x, sol.duals, sol.objective)
 
@@ -508,9 +527,8 @@ def test_dense_is_the_float_of_the_callers_rows(lp):
             want[i, slack] = float(sign * (1 if sense == "<=" else -1))
             slack += 1
         want[i, ncols] = float(abs(Fraction(bi)))
-    A, _, b, scale, _, got_ncols, _ = simplex._standardize(*lp)
+    _, _, _, _, _, got_ncols, _, got = simplex._standardize(*lp)
     assert got_ncols == ncols
-    got = simplex._dense(A, b, scale, ncols)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -557,21 +575,21 @@ def test_integer_check_matches_fraction_check(bound, lp):
     gets the same answer from the integer check as from the Fraction
     check on the caller's rows.  With the bound at 1 most candidates are
     wrong, so rejections are compared too."""
-    A, cost, b, scale, _, ncols, slack_cols = simplex._standardize(*lp)
-    M = simplex._dense(A, b, scale, ncols)
+    A, cost, b, scale, _, ncols, slack_cols, M = simplex._standardize(*lp)
     rows = [{j: Fraction(a, s) for j, a in row.items()} for row, s in zip(A, scale)]
     rhs = [Fraction(v, s) for v, s in zip(b, scale)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "MAX_DENOMINATOR", bound)
         for basis in combinations(range(ncols), len(A)):
-            struct = [col for col in basis if col not in slack_cols]
-            slack_of = {slack_cols[col]: col for col in basis if col in slack_cols}
-            tight = [r for r in range(len(A)) if r not in slack_of]
-            if len(tight) != len(struct):
+            core = simplex._core(M, basis, slack_cols)
+            if core is None:
                 continue
-            cand = simplex._reconstructed(M, cost, struct, tight)
-            if cand is None:
+            struct, slack_of, tight, inv = core
+            xs = inv @ M[tight, -1]
+            ys = np.array([float(cost[c]) for c in struct]) @ inv
+            if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
                 continue
+            cand = simplex._rational(xs), simplex._rational(ys)
             assert simplex._check(A, cost, b, scale, slack_of, struct, tight, *cand) == \
                 reference_check(rows, cost, rhs, slack_of, struct, tight, *cand)
 
@@ -610,7 +628,7 @@ def test_bland_rerun_after_pivot_limit(bound, lp):
     assert events[0] == "dantzig" and tag == "bland"
     assert (rerun == "optimal") == (certified or "rejected" in events)
     assert ("exact" in events) == (not certified)
-    A, cost, b, scale, _, ncols, _ = simplex._standardize(*lp)
+    A, cost, b, scale, _, ncols, _, _ = simplex._standardize(*lp)
     slow = outcome(lambda: exact(A, cost, b, scale, ncols))
     if isinstance(slow, str):
         assert sol == slow
