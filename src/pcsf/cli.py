@@ -213,12 +213,13 @@ def _cmd_decompose(args):
         inst, point = _instance_and_point(args)
         fn = dec.min_alpha if args.what == "min-alpha" else dec.min_beta
         value, dist, witness = fn(inst, point, method=args.method, edge_cap=args.edge_cap)
-        if args.output:
-            dec.write_distribution(dist, args.output)
-        if args.witness:
+        if args.witness:  # built first: a witness that cannot be built writes nothing
             mode = "gap" if args.what == "min-alpha" else "lmp"
             winst = dec.witness_costs_from_dual(witness, mode=mode,
                                                 beta=value if mode == "lmp" else None)
+        if args.output:
+            dec.write_distribution(dist, args.output)
+        if args.witness:
             write_instance(winst, args.witness)
         key = "alpha_star" if args.what == "min-alpha" else "beta_star"
         _emit({key: rational_json(value), "support": len(dist.entries),

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .graph import component_labels, cut_edges, min_cut, scale_capacities
+from .graph import block_hops, component_labels, cut_edges, min_cut, scale_capacities
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -61,12 +61,31 @@ def _violated_cuts(inst: PcsfInstance, x, z, pairs):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
     in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
     A pair's flow stops once it reaches 1 - z_i, which proves no such side.
-    x is checked and scaled to ints once, for all the pairs."""
+    x is checked and scaled to ints once, for all the pairs.
+
+    A pair whose block-cut path crosses several blocks is checked hop by
+    hop (``block_hops``) and is feasible when every hop reaches 1 - z_i;
+    only a pair with a short hop runs the whole s-t cut, for its side.
+    x is fixed here, so each hop's verdict is kept for the whole call."""
     g = inst.graph
     cap = scale_capacities(g, x)
+    reaches = {}  # (u, v, goal) -> whether the u-v flow reaches goal / cap.scale
     for i in pairs:
         s, t = inst.pairs[i]
-        _, side = min_cut(g, cap, s, t, need=1 - z.get(i, 0))
+        need = 1 - z.get(i, 0)
+        hops = block_hops(g, s, t)
+        if hops is not None:
+            num, den = need.as_integer_ratio()
+            goal = -(-num * cap.scale // den)
+            for hop in zip(hops, hops[1:]):
+                key = (*hop, goal)
+                if key not in reaches:
+                    reaches[key] = min_cut(g, cap, *hop, need=need)[1] is None
+                if not reaches[key]:
+                    break
+            else:
+                continue
+        _, side = min_cut(g, cap, s, t, need=need)
         if side is not None:
             yield i, frozenset(side)
 

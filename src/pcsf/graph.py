@@ -99,14 +99,16 @@ class BlockCutForest(NamedTuple):
     ``edge_block[eid]`` is the block of each edge, ``node_tree[v]`` the tree
     node of graph node v (its own if v is a cut vertex, else its one block,
     -1 if v has no edge), ``parent`` and ``depth`` root each tree at its
-    first node, and ``exits[b]`` lists the arcs out of block b: the arcs at
-    b's cut vertices along edges of other blocks."""
+    first node, ``exits[b]`` lists the arcs out of block b: the arcs at
+    b's cut vertices along edges of other blocks, and ``cut_vertex[j]`` is
+    the graph node of tree node B+j."""
 
     edge_block: list
     node_tree: list
     parent: list
     depth: list
     exits: list
+    cut_vertex: list
 
 
 def block_cut_forest(g: Graph) -> BlockCutForest:
@@ -165,7 +167,8 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
                 cut_blocks.setdefault(v, {node_tree[v]}).add(b)
     tree_adj = [[] for _ in range(num_blocks)]
     exits = [[] for _ in range(num_blocks)]
-    for v in sorted(cut_blocks):
+    cut_vertex = sorted(cut_blocks)
+    for v in cut_vertex:
         node_tree[v] = len(tree_adj)
         tree_adj.append(sorted(cut_blocks[v]))
         for b in tree_adj[-1]:
@@ -185,7 +188,40 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
                 if depth[b] < 0:
                     parent[b], depth[b] = a, depth[a] + 1
                     queue.append(b)
-    return BlockCutForest(edge_block, node_tree, parent, depth, exits)
+    return BlockCutForest(edge_block, node_tree, parent, depth, exits, cut_vertex)
+
+
+def _tree_path(forest: BlockCutForest, s: int, t: int):
+    """The tree nodes from s's to t's in ``forest``, in order, or None when
+    s or t has no edge or they lie in different trees."""
+    a, b = forest.node_tree[s], forest.node_tree[t]
+    if a < 0 or b < 0:
+        return None
+    parent, depth = forest.parent, forest.depth
+    up, down = [a], [b]
+    while a != b:
+        if depth[a] < depth[b]:
+            b = parent[b]
+            down.append(b)
+        else:
+            a = parent[a]
+            if a < 0:
+                return None
+            up.append(a)
+    return up + down[-2::-1]
+
+
+def block_hops(g: Graph, s: int, t: int):
+    """``[s, c1, ..., ck, t]`` with the cut vertices on the s-t path of
+    ``g.blocks``, or None when that path has one block or none.  Each hop
+    lies in one block; the s-t max flow is the least hop max flow."""
+    forest = g.blocks
+    path = _tree_path(forest, s, t)
+    if path is None:
+        return None
+    num_blocks = len(forest.exits)
+    inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
+    return [s, *inner, t] if inner else None
 
 
 def _exit_arcs(forest: BlockCutForest, s: int, t: int):
@@ -193,18 +229,10 @@ def _exit_arcs(forest: BlockCutForest, s: int, t: int):
     ``forest``, or None when nothing leaves it (s and t in different trees
     included).  A path leaving the region at a cut vertex can only come
     back through it, so every simple s-t path stays inside."""
-    a, b = forest.node_tree[s], forest.node_tree[t]
-    if a < 0 or b < 0:
+    path = _tree_path(forest, s, t)
+    if path is None:
         return None
-    parent, depth = forest.parent, forest.depth
-    path = {a, b}
-    while a != b:
-        if depth[a] < depth[b]:
-            a, b = b, a
-        a = parent[a]
-        if a < 0:
-            return None
-        path.add(a)
+    path = set(path)
     exits, edge_block = forest.exits, forest.edge_block
     closed = [arc for blk in path if blk < len(exits) for arc in exits[blk]
               if edge_block[arc >> 1] not in path]
@@ -213,10 +241,13 @@ def _exit_arcs(forest: BlockCutForest, s: int, t: int):
 
 class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
-    the int capacity of arc a (both arcs of an edge carry it)."""
+    the int capacity of arc a (both arcs of an edge carry it).  ``res`` is
+    the residual list ``min_cut`` works in; between calls it equals
+    ``arcs``."""
 
     arcs: list
     scale: int
+    res: list
 
 
 def scale_capacities(g: Graph, cap) -> ScaledCapacities:
@@ -235,7 +266,7 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale)
+    return ScaledCapacities(arcs, scale, list(arcs))
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -253,11 +284,13 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     exists.  Otherwise the call returns the same pair as without ``need``.
 
     Edmonds-Karp (shortest augmenting paths) runs on one int residual per
-    arc of ``g.adj``.  The augmenting searches are confined to the blocks
-    on the s-t path of ``g.blocks``, by closing the arcs out of them; a
-    search never enters those blocks from outside, so it labels them in
-    the same order and finds the same paths.  The last search
-    reopens the arcs, so the side spans the whole graph.
+    arc of ``g.adj``, in ``cap.res``.  The augmenting searches are confined
+    to the blocks on the s-t path of ``g.blocks``, by closing the arcs out
+    of them; a search never enters those blocks from outside, so it labels
+    them in the same order and finds the same paths.  The last search
+    reopens the arcs, so the side spans the whole graph.  On return only
+    the closed arcs and the arcs of the augmenting paths (with their
+    reverses) are reset, which puts ``cap.res`` back to ``cap.arcs``.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -267,38 +300,43 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     if len(cap.arcs) != 2 * g.num_edges:
         raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
                          f"the graph has {g.num_edges}")
-    scale = cap.scale
-    res = list(cap.arcs)  # residual capacity per arc, in units of 1/scale
-    closed = _exit_arcs(g.blocks, s, t)
-    for arc in closed or ():
-        res[arc] = 0
+    scale, arcs, res = cap.scale, cap.arcs, cap.res  # res: in units of 1/scale
     if need is None:
         goal = None
     else:
         num, den = need.as_integer_ratio()
         goal = -(-num * scale // den)  # least integer flow >= need * scale
 
-    flow = 0
-    while goal is None or flow < goal:
-        pred = _shortest_path_tree(g.adj, res, s, t)
-        if t not in pred:
-            if closed:  # no flow crossed them: reopen and search everything
-                for arc in closed:
-                    res[arc] = cap.arcs[arc]
-                pred = _shortest_path_tree(g.adj, res, s, t)
-            return Fraction(flow, scale), set(pred)
-        path = []
-        node = t
-        while node != s:
-            arc = pred[node]
-            path.append(arc)
-            node = g.edges[arc >> 1][arc & 1]
-        bott = min(res[arc] for arc in path)
-        for arc in path:
-            res[arc] -= bott
-            res[arc ^ 1] += bott
-        flow += bott
-    return Fraction(flow, scale), None
+    closed = _exit_arcs(g.blocks, s, t) or ()
+    touched = list(closed)  # arcs reset on return; each augmenting path joins them
+    try:
+        for arc in closed:
+            res[arc] = 0
+        flow = 0
+        while goal is None or flow < goal:
+            pred = _shortest_path_tree(g.adj, res, s, t)
+            if t not in pred:
+                if closed:  # no flow crossed them: reopen and search everything
+                    for arc in closed:
+                        res[arc] = arcs[arc]
+                    pred = _shortest_path_tree(g.adj, res, s, t)
+                return Fraction(flow, scale), set(pred)
+            path = []
+            node = t
+            while node != s:
+                arc = pred[node]
+                path.append(arc)
+                node = g.edges[arc >> 1][arc & 1]
+            touched += path
+            bott = min(res[arc] for arc in path)
+            for arc in path:
+                res[arc] -= bott
+                res[arc ^ 1] += bott
+            flow += bott
+        return Fraction(flow, scale), None
+    finally:
+        for arc in touched:
+            res[arc] = res[arc ^ 1] = arcs[arc]
 
 
 def _shortest_path_tree(adj, res, s, t) -> dict:

@@ -148,12 +148,13 @@ def test_decompose_min_beta_zero_writes_no_witness(tmp_path, capsys):
     inst.write_text("pcsf 1\nedge a b 1\nedge b c 1\npair a c 1\n")
     point = write_point(tmp_path, x=("1/2", "1/2"), z=("1",))
     wit_path = tmp_path / "wit.pcsf"
+    dist_path = tmp_path / "dist.txt"
     code, out, err = run(capsys, "decompose", "min-beta", str(inst), "--point", point,
-                         "--witness", str(wit_path))
+                         "-o", str(dist_path), "--witness", str(wit_path))
     assert code == 2 and out == ""
     doc = json.loads(err)
     assert doc["type"] == "validation" and "beta" in doc["error"]
-    assert not wit_path.exists()
+    assert not wit_path.exists() and not dist_path.exists()
 
 
 def test_decompose_explicit_verify_trace(tmp_path, capsys):

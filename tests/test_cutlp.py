@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graph import block_graphs, reference_min_cut
 
-from pcsf import graph, simplex
-from pcsf.cutlp import (CutConstraint, LpInfeasibleError, check_feasible,
+from pcsf import cutlp, graph, simplex
+from pcsf.cutlp import (CutConstraint, LpInfeasibleError, _violated_cuts, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
-from pcsf.graph import Graph
+from pcsf.graph import Graph, scale_capacities
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance, make_base
 from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
@@ -111,10 +114,11 @@ def test_solution_is_feasible_and_cuts_tight():
 
 
 def unrestricted_check(inst, point):
-    """check_feasible with no arc closed: every flow and every side over
-    the whole graph."""
+    """check_feasible with no arc closed and no pair split into hops:
+    one flow per pair, every flow and every side over the whole graph."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_exit_arcs", lambda blocks, s, t: None)
+        mp.setattr(cutlp, "block_hops", lambda g, s, t: None)
         return check_feasible(inst, point)
 
 
@@ -142,6 +146,63 @@ def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():
     assert all(set(c.branch_nodes + c.subdivision_nodes) <= sides[0] for c in hanging)
     # in a level-1 copy: the root copy, whose block is not between the pair
     assert set(lc.copies[0].branch_nodes + lc.copies[0].subdivision_nodes) <= sides[1]
+
+
+def test_check_feasible_shares_the_root_hops_on_depth_one():
+    # H^(1) over K4, m=4: 576 of the 726 pairs are (r0, v) pairs whose
+    # flow first crosses the root block to v's attachment vertex, one of
+    # 24; each such hop is run once.  Three more pairs from r0 lie in the
+    # root copy, one block each.
+    lc = build_layered(make_base("k4"), m=4, k=1)
+    inst = layered_instance(lc)
+    assert len(lc.root_pairs()) == 576
+    assert sum(s == lc.r0 for s, _ in inst.pairs) == 579
+    calls = []
+
+    def counted(g, cap, s, t, need=None):
+        calls.append((s, t))
+        return graph.min_cut(g, cap, s, t, need)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cutlp, "min_cut", counted)
+        assert check_feasible(inst, canonical_point(lc, "gap")) is None
+    from_root = [(s, t) for s, t in calls if s == lc.r0]
+    hops = [call for call in from_root if call not in inst.pairs]
+    assert len(from_root) == 27 and len(set(hops)) == len(hops) == 24
+
+
+@st.composite
+def separation_cases(draw):
+    """block_graphs with rational x (some 0 or absent), up to 8 distinct
+    pairs and z in {0, 1/2, 1, 3/2}."""
+    g = draw(block_graphs())
+    value = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+    x = {}
+    for eid in range(g.num_edges):
+        c = draw(st.one_of(st.none(), value))
+        if c is not None:
+            x[eid] = c
+    node = st.integers(0, g.num_nodes - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=8, unique_by=frozenset))
+    z = {i: draw(st.builds(Fraction, st.integers(0, 3), st.just(2))) for i in range(len(pairs))}
+    inst = PcsfInstance(g, dict.fromkeys(range(g.num_edges), 1), pairs,
+                        dict.fromkeys(range(len(pairs)), 1))
+    return inst, x, z
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(separation_cases())
+def test_violated_cuts_hop_by_hop_match_whole_graph_cuts(case):
+    inst, x, z = case
+    g = inst.graph
+    cap = scale_capacities(g, x)
+    expected = []
+    for i, (s, t) in enumerate(inst.pairs):
+        _, side = reference_min_cut(g, cap, s, t, 1 - z[i])
+        if side is not None:
+            expected.append((i, frozenset(side)))
+    assert list(_violated_cuts(inst, x, z, range(inst.num_pairs))) == expected
 
 
 def test_cut_constraint_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsf.graph import (Graph, GraphError, UnionFind, block_cut_forest,
+from pcsf.graph import (Graph, GraphError, UnionFind, block_cut_forest, block_hops,
                         component_labels, cut_edges, edge_connectivity, is_forest,
                         min_cut, minimum_spanning_tree, scale_capacities)
 
@@ -249,7 +249,8 @@ def test_block_cut_forest_matches_networkx(g):
     h.add_nodes_from(range(g.num_nodes))
     assert sorted(map(sorted, blocks)) == sorted(map(sorted, nx.biconnected_components(h)))
     cut_vertices = {v for v in range(g.num_nodes) if forest.node_tree[v] >= num_blocks}
-    assert cut_vertices == set(nx.articulation_points(h))
+    assert cut_vertices == set(nx.articulation_points(h)) == set(forest.cut_vertex)
+    assert all(forest.node_tree[v] == num_blocks + j for j, v in enumerate(forest.cut_vertex))
     # each node's tree node: its own if a cut vertex, its one block, or -1 if isolated
     for v in range(g.num_nodes):
         if v not in cut_vertices:
@@ -276,6 +277,30 @@ def test_block_cut_forest_of_a_path_with_parallel_edges():
     assert forest.node_tree[1] == 2 and forest.node_tree[3] == -1
     assert sorted(forest.exits[forest.edge_block[1]]) == [1, 4]  # 1->0 twice
     assert sorted(forest.exits[forest.edge_block[0]]) == [2]  # 1->2
+
+
+def test_min_cut_resets_the_residuals_it_used():
+    # 2-0-1-3 and the cycle 0-1-4: the cut 0-1 lies in the block {0, 1, 4}
+    # and closes the arcs 0->2 and 1->3
+    g = Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 0)])
+    cap = scale_capacities(g, {0: Fraction(1, 2), 1: 1, 2: 1, 3: Fraction(1, 3), 4: 1})
+    assert cap.res == cap.arcs and cap.res is not cap.arcs
+    for need, answer in ((None, (Fraction(5, 6), {0, 2, 4})),  # full flow
+                         (Fraction(1, 2), (Fraction(1, 2), None)),  # early stop
+                         (1, (Fraction(5, 6), {0, 2, 4}))):  # violated: closed arcs reopened
+        assert min_cut(g, cap, 0, 1, need) == answer
+        assert cap.res == cap.arcs
+
+
+def test_block_hops_follow_the_cut_vertices():
+    # 0-1-2 and the triangle 2-3-4, 5-6 apart, 7 isolated
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (5, 6)])
+    assert block_hops(g, 0, 3) == [0, 1, 2, 3]
+    assert block_hops(g, 4, 1) == [4, 2, 1]
+    assert block_hops(g, 1, 2) is None  # one block
+    assert block_hops(g, 3, 4) is None
+    assert block_hops(g, 0, 5) is None  # different trees
+    assert block_hops(g, 7, 0) is None  # no edge
 
 
 def test_blocks_are_built_once_and_rebuilt_after_add_edge():
