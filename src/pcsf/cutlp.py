@@ -2,9 +2,10 @@
 
 The LP min c.x + pi.z subject to x(delta(S)) + z_i >= 1 for every cut S
 separating pair i is solved by repeated exact LP solves with min-cut
-separation.  Infinite-penalty pairs have their z fixed to 0.  Vertex
-verification checks a family of tight constraints and certifies
-uniqueness by an exact rank computation.
+separation; each violated pair adds its minimal and its maximal s-side.
+Infinite-penalty pairs have their z fixed to 0.  Vertex verification
+checks a family of tight constraints and certifies uniqueness by an
+exact rank computation.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def _violated_cuts(inst: PcsfInstance, x, z, pairs):
             yield i, frozenset(side)
 
 
+def _back_side(inst: PcsfInstance, cap, i):
+    """The maximal s-side of pair i's minimum cuts under ``cap``: V minus
+    the minimal t-side, which a t-s flow's last search labels."""
+    s, t = inst.pairs[i]
+    return frozenset(range(inst.graph.num_nodes)) - min_cut(inst.graph, cap, t, s)[1]
+
+
 def check_feasible(inst: PcsfInstance, point: FracSolution):
     """None when feasible, otherwise the first violated constraint:
     nonnegativity first, then cuts in pair-index order."""
@@ -109,6 +117,9 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     """Cutting-plane engine; also used with edge restrictions by branch
     and bound.  Forced-in edges count as permanently bought (capacity 1,
     cost already paid by the caller), forced-out edges as deleted.
+
+    Each round adds every violated pair's minimal s-side and its back cut
+    (``_back_side``): two minimum cuts, violated by the same amount.
 
     Returns an LpResult whose value covers only the free variables.
     """
@@ -199,8 +210,10 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         # through separation later.  A dropped cut's slack was positive,
         # hence basic, so the carried basis stays square
         cuts = {key: cuts[key] for key in tight}
-        for key in violated:
-            add_cut(key)
+        cap = scale_capacities(g, x)
+        for i, side in violated:
+            add_cut((i, side))
+            add_cut((i, _back_side(inst, cap, i)))
 
 
 def solve_lp(inst: PcsfInstance) -> LpResult:

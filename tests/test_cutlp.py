@@ -103,6 +103,16 @@ def test_every_round_is_settled_by_the_warm_dual_simplex(monkeypatch):
         assert solve_lp(inst).value == value
 
 
+@pytest.mark.parametrize("base, m, value", [("k4", 3, 12), ("k4", 4, 15), ("complete(5)", 2, 15)])
+def test_back_cuts_keep_the_round_count_small(base, m, value):
+    """Each violated pair adds its minimal and its maximal s-side; on the
+    depth-0 layered instances this takes 8, 4 and 4 rounds (42, 89 and
+    226 with the minimal s-side alone)."""
+    res = solve_lp(layered_instance(build_layered(make_base(base), m=m, k=0)))
+    assert res.value == value
+    assert res.iterations <= 16
+
+
 def test_solution_is_feasible_and_cuts_tight():
     inst = c4_double_pair()
     res = solve_lp(inst)

@@ -1,8 +1,8 @@
 """The cut LP against slow exact oracles on small hypothesis-generated
-instances: separation against brute force over all node subsets, the
-cutting-plane value against the cut LP written out over every separating
-set (also with edges forced in or out and a reused cut pool), and branch
-and bound against the enumeration oracle."""
+instances: separation and its back side against brute force over all node
+subsets, the cutting-plane value against the cut LP written out over every
+separating set (also with edges forced in or out and a reused cut pool),
+and branch and bound against the enumeration oracle."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsf import simplex
-from pcsf.cutlp import LpInfeasibleError, check_feasible, solve_cut_lp, solve_lp
+from pcsf.cutlp import (LpInfeasibleError, _back_side, _violated_cuts, check_feasible,
+                        solve_cut_lp, solve_lp)
 from pcsf.exact import enumerate_ip, solve_ip
-from pcsf.graph import Graph, cut_edges
+from pcsf.graph import Graph, cut_edges, scale_capacities
 from pcsf.instance import FracSolution, PcsfInstance
 from pcsf.rational import INF
 
@@ -73,6 +74,27 @@ def test_check_feasible_matches_brute_force(data):
         assert violated.kind == "cut"
         violated.validate(inst)
         assert slack(inst, point, violated.pair, violated.side) < 0
+
+
+@PROPERTY
+@given(st.data())
+def test_back_side_is_the_maximal_minimum_cut(data):
+    """For each violated pair the back side has the least slack of all its
+    separating sets, contains every one of least slack (so it is the
+    maximal s-side of a minimum cut) and contains the side that separation
+    returns."""
+    inst = data.draw(instances())
+    point = FracSolution(
+        x={e: data.draw(RATIONALS) for e in range(inst.graph.num_edges)},
+        z={i: data.draw(RATIONALS) / 4 for i in range(inst.num_pairs)})
+    cap = scale_capacities(inst.graph, point.x)
+    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
+        back = _back_side(inst, cap, i)
+        slacks = {other: slack(inst, point, i, other) for other in separating_sets(inst, i)}
+        least = min(slacks.values())
+        assert slacks[back] == least
+        assert all(other <= back for other, v in slacks.items() if v == least)
+        assert side <= back
 
 
 def full_cut_lp(inst, fixed=None):
