@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .graph import block_hops, component_labels, cut_edges, min_cut, scale_capacities
+from .graph import (ScaledCapacities, component_labels, cut_edges, min_cut,
+                    scale_capacities)
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -58,35 +59,17 @@ class LpResult:
     iterations: int
 
 
-def _violated_cuts(inst: PcsfInstance, x, z, pairs):
+def _violated_cuts(inst: PcsfInstance, cap, z, pairs):
     """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
     in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
     A pair's flow stops once it reaches 1 - z_i, which proves no such side.
-    x is checked and scaled to ints once, for all the pairs.
-
-    A pair whose block-cut path crosses several blocks is checked hop by
-    hop (``block_hops``) and is feasible when every hop reaches 1 - z_i;
-    only a pair with a short hop runs the whole s-t cut, for its side.
-    x is fixed here, so each hop's verdict is kept for the whole call."""
-    g = inst.graph
-    cap = scale_capacities(g, x)
-    reaches = {}  # (u, v, goal) -> whether the u-v flow reaches goal / cap.scale
+    ``cap`` is x as ``scale_capacities`` gives it, shared by all the pairs
+    (a plain x map is scaled here)."""
+    if not isinstance(cap, ScaledCapacities):
+        cap = scale_capacities(inst.graph, cap)
     for i in pairs:
         s, t = inst.pairs[i]
-        need = 1 - z.get(i, 0)
-        hops = block_hops(g, s, t)
-        if hops is not None:
-            num, den = need.as_integer_ratio()
-            goal = -(-num * cap.scale // den)
-            for hop in zip(hops, hops[1:]):
-                key = (*hop, goal)
-                if key not in reaches:
-                    reaches[key] = min_cut(g, cap, *hop, need=need)[1] is None
-                if not reaches[key]:
-                    break
-            else:
-                continue
-        _, side = min_cut(g, cap, s, t, need=need)
+        _, side = min_cut(inst.graph, cap, s, t, need=1 - z.get(i, 0))
         if side is not None:
             yield i, frozenset(side)
 
@@ -107,7 +90,8 @@ def check_feasible(inst: PcsfInstance, point: FracSolution):
     for i in range(inst.num_pairs):
         if point.z.get(i, Fraction(0)) < 0:
             return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
+    cap = scale_capacities(inst.graph, point.x)
+    for i, side in _violated_cuts(inst, cap, point.z, range(inst.num_pairs)):
         return CutConstraint(pair=i, side=side)
     return None
 
@@ -196,7 +180,8 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         d = lcm(*(v.denominator for v in sol.x))
         X = [v.numerator * (d // v.denominator) for v in sol.x]
         tight = [key for key, (row, b) in cuts.items() if sum(X[j] for j in row) == b * d]
-        violated = list(_violated_cuts(inst, x, z, open_pairs))
+        cap = scale_capacities(g, x)
+        violated = list(_violated_cuts(inst, cap, z, open_pairs))
         if not violated:
             if pool is not None:
                 pool[:] = tight
@@ -210,7 +195,6 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         # through separation later.  A dropped cut's slack was positive,
         # hence basic, so the carried basis stays square
         cuts = {key: cuts[key] for key in tight}
-        cap = scale_capacities(g, x)
         for i, side in violated:
             add_cut((i, side))
             add_cut((i, _back_side(inst, cap, i)))

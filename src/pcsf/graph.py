@@ -191,12 +191,12 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
     return BlockCutForest(edge_block, node_tree, parent, depth, exits, cut_vertex)
 
 
-def _tree_path(forest: BlockCutForest, s: int, t: int):
-    """The tree nodes from s's to t's in ``forest``, in order, or None when
+def _tree_path(forest: BlockCutForest, s: int, t: int) -> list:
+    """The tree nodes from s's to t's in ``forest``, in order; empty when
     s or t has no edge or they lie in different trees."""
     a, b = forest.node_tree[s], forest.node_tree[t]
     if a < 0 or b < 0:
-        return None
+        return []
     parent, depth = forest.parent, forest.depth
     up, down = [a], [b]
     while a != b:
@@ -206,48 +206,23 @@ def _tree_path(forest: BlockCutForest, s: int, t: int):
         else:
             a = parent[a]
             if a < 0:
-                return None
+                return []
             up.append(a)
     return up + down[-2::-1]
-
-
-def block_hops(g: Graph, s: int, t: int):
-    """``[s, c1, ..., ck, t]`` with the cut vertices on the s-t path of
-    ``g.blocks``, or None when that path has one block or none.  Each hop
-    lies in one block; the s-t max flow is the least hop max flow."""
-    forest = g.blocks
-    path = _tree_path(forest, s, t)
-    if path is None:
-        return None
-    num_blocks = len(forest.exits)
-    inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
-    return [s, *inner, t] if inner else None
-
-
-def _exit_arcs(forest: BlockCutForest, s: int, t: int):
-    """The arcs out of the region formed by the blocks on the s-t path of
-    ``forest``, or None when nothing leaves it (s and t in different trees
-    included).  A path leaving the region at a cut vertex can only come
-    back through it, so every simple s-t path stays inside."""
-    path = _tree_path(forest, s, t)
-    if path is None:
-        return None
-    path = set(path)
-    exits, edge_block = forest.exits, forest.edge_block
-    closed = [arc for blk in path if blk < len(exits) for arc in exits[blk]
-              if edge_block[arc >> 1] not in path]
-    return closed or None
 
 
 class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
     the int capacity of arc a (both arcs of an edge carry it).  ``res`` is
     the residual list ``min_cut`` works in; between calls it equals
-    ``arcs``."""
+    ``arcs``.  ``hops`` maps each hop ``(u, v, goal)`` that ``min_cut`` has
+    checked to the u-v flow in their block, stopped at ``goal``; the
+    capacities are fixed, so it holds for as long as they live."""
 
     arcs: list
     scale: int
     res: list
+    hops: dict
 
 
 def scale_capacities(g: Graph, cap) -> ScaledCapacities:
@@ -266,7 +241,7 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale, list(arcs))
+    return ScaledCapacities(arcs, scale, list(arcs), {})
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -283,14 +258,15 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     ``(value, None)`` is returned, value >= need: no cut below ``need``
     exists.  Otherwise the call returns the same pair as without ``need``.
 
-    Edmonds-Karp (shortest augmenting paths) runs on one int residual per
-    arc of ``g.adj``, in ``cap.res``.  The augmenting searches are confined
-    to the blocks on the s-t path of ``g.blocks``, by closing the arcs out
-    of them; a search never enters those blocks from outside, so it labels
-    them in the same order and finds the same paths.  The last search
-    reopens the arcs, so the side spans the whole graph.  On return only
-    the closed arcs and the arcs of the augmenting paths (with their
-    reverses) are reset, which puts ``cap.res`` back to ``cap.arcs``.
+    The flows (``_flow``) are confined to the blocks on the s-t path of
+    ``g.blocks`` by closing the arcs out of them; a search never enters
+    those blocks from outside, so it labels them in the same order and
+    finds the same paths.  With ``need`` set and several blocks on the
+    path, each hop between consecutive cut vertices on it first runs in
+    its own block.  Every augmenting s-t path crosses the hops in turn,
+    so the s-t flow stops where the least hop's flow stops; only a hop
+    short of ``need`` makes the whole flow run, for the side.  The hop
+    flows are kept in ``cap.hops``.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -300,14 +276,46 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     if len(cap.arcs) != 2 * g.num_edges:
         raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
                          f"the graph has {g.num_edges}")
-    scale, arcs, res = cap.scale, cap.arcs, cap.res  # res: in units of 1/scale
     if need is None:
         goal = None
     else:
         num, den = need.as_integer_ratio()
-        goal = -(-num * scale // den)  # least integer flow >= need * scale
+        goal = -(-num * cap.scale // den)  # least integer flow >= need * scale
 
-    closed = _exit_arcs(g.blocks, s, t) or ()
+    forest = g.blocks
+    path = _tree_path(forest, s, t)
+    num_blocks = len(forest.exits)
+    inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
+    if goal is not None and inner:
+        ends = [s, *inner, t]
+        flows = []
+        for u, v, blk in zip(ends, ends[1:], [a for a in path if a < num_blocks]):
+            key = (u, v, goal)
+            if key not in cap.hops:
+                cap.hops[key] = _flow(g, cap, u, v, goal, forest.exits[blk])[0]
+            flows.append(cap.hops[key])
+            if flows[-1] < goal:
+                break
+        else:
+            return Fraction(min(flows), cap.scale), None
+    # a path that leaves the path's blocks at a cut vertex can only come
+    # back through it, so every simple s-t path stays inside them
+    region = set(path)
+    closed = [arc for blk in path if blk < num_blocks for arc in forest.exits[blk]
+              if forest.edge_block[arc >> 1] not in region]
+    flow, side = _flow(g, cap, s, t, goal, closed)
+    return Fraction(flow, cap.scale), side
+
+
+def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed):
+    """Edmonds-Karp (shortest augmenting paths) from s to t on the int
+    residuals ``cap.res`` with the arcs ``closed`` shut, stopping once the
+    flow reaches ``goal`` (None: never).  Returns ``(flow, side)``: side
+    is None when the flow reached goal, else the nodes that the last
+    search labels with ``closed`` reopened.  On return only the closed
+    arcs and the arcs of the augmenting paths (with their reverses) are
+    reset, which puts ``cap.res`` back to ``cap.arcs``."""
+    arcs, res = cap.arcs, cap.res
     touched = list(closed)  # arcs reset on return; each augmenting path joins them
     try:
         for arc in closed:
@@ -320,7 +328,7 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
                     for arc in closed:
                         res[arc] = arcs[arc]
                     pred = _shortest_path_tree(g.adj, res, s, t)
-                return Fraction(flow, scale), set(pred)
+                return flow, set(pred)
             path = []
             node = t
             while node != s:
@@ -333,7 +341,7 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
                 res[arc] -= bott
                 res[arc ^ 1] += bott
             flow += bott
-        return Fraction(flow, scale), None
+        return flow, None
     finally:
         for arc in touched:
             res[arc] = res[arc ^ 1] = arcs[arc]

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graph import block_graphs, reference_min_cut
+from test_graph import block_graphs, counted_flows, reference_min_cut
 
-from pcsf import cutlp, graph, simplex
+from pcsf import graph, simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, _violated_cuts, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
 from pcsf.graph import Graph, scale_capacities
@@ -124,11 +124,11 @@ def test_solution_is_feasible_and_cuts_tight():
 
 
 def unrestricted_check(inst, point):
-    """check_feasible with no arc closed and no pair split into hops:
-    one flow per pair, every flow and every side over the whole graph."""
+    """check_feasible with no block-cut path, so no arc closed and no pair
+    split into hops: one flow per pair, every flow and every side over the
+    whole graph."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_exit_arcs", lambda blocks, s, t: None)
-        mp.setattr(cutlp, "block_hops", lambda g, s, t: None)
+        mp.setattr(graph, "_tree_path", lambda forest, s, t: [])
         return check_feasible(inst, point)
 
 
@@ -158,7 +158,7 @@ def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():
     assert set(lc.copies[0].branch_nodes + lc.copies[0].subdivision_nodes) <= sides[1]
 
 
-def test_check_feasible_shares_the_root_hops_on_depth_one():
+def test_check_feasible_shares_the_root_hops_on_depth_one(monkeypatch):
     # H^(1) over K4, m=4: 576 of the 726 pairs are (r0, v) pairs whose
     # flow first crosses the root block to v's attachment vertex, one of
     # 24; each such hop is run once.  Three more pairs from r0 lie in the
@@ -167,18 +167,32 @@ def test_check_feasible_shares_the_root_hops_on_depth_one():
     inst = layered_instance(lc)
     assert len(lc.root_pairs()) == 576
     assert sum(s == lc.r0 for s, _ in inst.pairs) == 579
-    calls = []
-
-    def counted(g, cap, s, t, need=None):
-        calls.append((s, t))
-        return graph.min_cut(g, cap, s, t, need)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cutlp, "min_cut", counted)
-        assert check_feasible(inst, canonical_point(lc, "gap")) is None
+    calls = counted_flows(monkeypatch)
+    assert check_feasible(inst, canonical_point(lc, "gap")) is None
     from_root = [(s, t) for s, t in calls if s == lc.r0]
     hops = [call for call in from_root if call not in inst.pairs]
     assert len(from_root) == 27 and len(set(hops)) == len(hops) == 24
+
+
+def test_hop_flows_are_kept_per_capacity_map(monkeypatch):
+    # H^(1) over K4, m=4 at the canonical point: 150 pairs lie in one
+    # block and run one flow each; the 576 root pairs run their 24 shared
+    # first hops once and their 576 second hops, 750 flows in all (1,302
+    # if each pair ran its own hops).  All are feasible, so no whole flow
+    # runs for them.
+    lc = build_layered(make_base("k4"), m=4, k=1)
+    inst = layered_instance(lc)
+    point = canonical_point(lc, "gap")
+    calls = counted_flows(monkeypatch)
+    assert check_feasible(inst, point) is None
+    assert len(calls) == 750
+    # fresh capacities run all 750 again; the same ones a second time keep
+    # every hop, so only the 150 one-block flows run
+    cap = scale_capacities(inst.graph, point.x)
+    for count in (750, 150):
+        calls.clear()
+        assert list(_violated_cuts(inst, cap, point.z, range(inst.num_pairs))) == []
+        assert len(calls) == count
 
 
 @st.composite

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsf.graph import (Graph, GraphError, UnionFind, block_cut_forest, block_hops,
-                        component_labels, cut_edges, edge_connectivity, is_forest,
-                        min_cut, minimum_spanning_tree, scale_capacities)
+from pcsf import graph
+from pcsf.graph import (Graph, GraphError, UnionFind, block_cut_forest, component_labels,
+                        cut_edges, edge_connectivity, is_forest, min_cut,
+                        minimum_spanning_tree, scale_capacities)
 
 
 def triangle():
@@ -122,24 +123,66 @@ def brute_force_cuts(g, cap, s, t):
             yield sum(cap.get(e, 0) for e in cut_edges(g, side)), side
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(flow_networks())
-def test_min_cut_matches_brute_force(case):
-    g, cap, s, t, need = case
-    cuts = list(brute_force_cuts(g, cap, s, t))
-    best = min(value for value, _ in cuts)
-    scaled = scale_capacities(g, cap)
-    value, side = min_cut(g, scaled, s, t)
-    assert value == best
-    assert s in side and t not in side
-    assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
-    assert all(side <= other for v, other in cuts if v == best)
-    if need is not None:
-        early = min_cut(g, scaled, s, t, need=need)
-        if best >= need:
-            assert early[1] is None and need <= early[0] <= best
+@st.composite
+def block_trees(draw):
+    """Three to five small blocks glued at cut vertices (an edge, two
+    parallel edges or a triangle, each hung off a node drawn so far) and
+    capacities as in flow_networks; then two to four queries (s, t, need)
+    from one s in the first block, most with one need, so that most cross
+    several blocks and share hops."""
+    edges = []
+    n = 1
+    for _ in range(draw(st.integers(3, 5))):
+        glue = n - 1 - draw(st.integers(0, n - 1))  # mostly a node of the last block
+        nodes = [glue] + list(range(n, n + draw(st.integers(1, 2))))
+        n = nodes[-1] + 1
+        if len(nodes) == 3:
+            edges += list(zip(nodes, nodes[1:] + nodes[:1]))
         else:
-            assert early == (value, side)
+            edges += [tuple(nodes)] * draw(st.integers(1, 2))
+    g = Graph(n, edges)
+    value = st.one_of(st.just(0), st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)))
+    cap = {}
+    for eid in range(g.num_edges):
+        c = draw(st.one_of(st.none(), value))
+        if c is not None:
+            cap[eid] = c
+    s = draw(st.integers(0, max(edges[0])))
+    need = draw(st.sampled_from([Fraction(k, 2) for k in range(5)]))
+    far = st.integers(0, n - 1).map(lambda k: n - 1 - k).filter(lambda t: t != s)
+    targets = draw(st.lists(far, min_size=2, max_size=4))
+    return g, cap, [(s, t, draw(st.sampled_from([need, need, None]))) for t in targets]
+
+
+def check_min_cuts(g, cap, queries):
+    """Each query (s, t, need) against brute force, all under one scaled
+    ``cap`` (so later queries reuse its kept hops) and, with need set,
+    against the answer under a fresh one and the whole-graph flow's."""
+    scaled = scale_capacities(g, cap)
+    for s, t, need in queries:
+        cuts = list(brute_force_cuts(g, cap, s, t))
+        best = min(value for value, _ in cuts)
+        value, side = min_cut(g, scaled, s, t)
+        assert value == best
+        assert s in side and t not in side
+        assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
+        assert all(side <= other for v, other in cuts if v == best)
+        if need is not None:
+            early = min_cut(g, scaled, s, t, need=need)
+            assert early == min_cut(g, scale_capacities(g, cap), s, t, need=need)
+            assert early == reference_min_cut(g, scaled, s, t, need)
+            if best >= need:
+                assert early[1] is None and need <= early[0] <= best
+            else:
+                assert early == (value, side)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(flow_networks(), block_trees())
+def test_min_cut_matches_brute_force(case, tree):
+    g, cap, s, t, need = case
+    check_min_cuts(g, cap, [(s, t, need)])
+    check_min_cuts(*tree)
 
 
 def reference_min_cut(g, cap, s, t, need=None):
@@ -292,15 +335,41 @@ def test_min_cut_resets_the_residuals_it_used():
         assert cap.res == cap.arcs
 
 
-def test_block_hops_follow_the_cut_vertices():
+def counted_flows(monkeypatch):
+    """The (s, t) of every flow graph._flow runs from now on."""
+    flows = []
+    run = graph._flow
+    monkeypatch.setattr(graph, "_flow", lambda g, cap, s, t, goal, closed:
+                        flows.append((s, t)) or run(g, cap, s, t, goal, closed))
+    return flows
+
+
+def test_block_hops_follow_the_cut_vertices(monkeypatch):
     # 0-1-2 and the triangle 2-3-4, 5-6 apart, 7 isolated
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (5, 6)])
-    assert block_hops(g, 0, 3) == [0, 1, 2, 3]
-    assert block_hops(g, 4, 1) == [4, 2, 1]
-    assert block_hops(g, 1, 2) is None  # one block
-    assert block_hops(g, 3, 4) is None
-    assert block_hops(g, 0, 5) is None  # different trees
-    assert block_hops(g, 7, 0) is None  # no edge
+    unit = {eid: 1 for eid in range(g.num_edges)}
+    flows = counted_flows(monkeypatch)
+
+    def flows_of(s, t, need=1, cap=None):
+        flows.clear()
+        answer = min_cut(g, cap or scale_capacities(g, unit), s, t, need)
+        return answer, flows[:]
+
+    # with need set, a path across several blocks is checked hop by hop
+    assert flows_of(0, 3) == ((1, None), [(0, 1), (1, 2), (2, 3)])
+    assert flows_of(4, 1) == ((1, None), [(4, 2), (2, 1)])
+    assert flows_of(1, 2) == ((1, None), [(1, 2)])  # one block
+    assert flows_of(3, 4) == ((1, None), [(3, 4)])
+    assert flows_of(0, 5) == ((0, {0, 1, 2, 3, 4}), [(0, 5)])  # different trees
+    assert flows_of(7, 0) == ((0, {7}), [(7, 0)])  # no edge
+    # a hop short of need runs the whole flow for the side; no need, no hops
+    assert flows_of(0, 3, Fraction(3, 2)) == ((1, {0}), [(0, 1), (0, 3)])
+    assert flows_of(0, 3, None) == ((1, {0}), [(0, 3)])
+    # the hops are kept with the capacities: 0-4 only runs its last hop
+    cap = scale_capacities(g, unit)
+    flows_of(0, 3, cap=cap)
+    assert flows_of(0, 4, cap=cap) == ((1, None), [(2, 4)])
+    assert sorted(cap.hops) == [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)]
 
 
 def test_blocks_are_built_once_and_rebuilt_after_add_edge():

@@ -127,19 +127,21 @@ def test_every_parameter_is_read():
 
 def _changes_graph_field(node):
     # a store into, or an append to, a field named like Graph's structure
-    # (num_nodes, edges, adj) or ScaledCapacities' working residuals (res),
-    # also through subscripts and tuple targets
+    # (num_nodes, edges, adj) or ScaledCapacities' working residuals (res)
+    # and kept hops (hops), also through subscripts and tuple targets
     if isinstance(node, (ast.Tuple, ast.List)):
         return any(_changes_graph_field(elt) for elt in node.elts)
     while isinstance(node, ast.Subscript):
         node = node.value
-    return isinstance(node, ast.Attribute) and node.attr in ("num_nodes", "edges", "adj", "res")
+    return isinstance(node, ast.Attribute) and node.attr in (
+        "num_nodes", "edges", "adj", "res", "hops")
 
 
 def test_only_graph_py_changes_a_graph():
     # Graph.blocks caches the block-cut forest and add_edge drops it, so a
     # graph changed any other way would keep a stale forest; min_cut leaves
-    # ScaledCapacities.res equal to arcs, which a write elsewhere would break
+    # ScaledCapacities.res equal to arcs, which a write elsewhere would
+    # break, and ScaledCapacities.hops holds only flows under those arcs
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "graph.py":
@@ -150,7 +152,7 @@ def test_only_graph_py_changes_a_graph():
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("append", "extend", "insert")):
+                  and node.func.attr in ("append", "extend", "insert", "update", "setdefault")):
                 targets = [node.func.value]
             else:
                 continue
