@@ -101,7 +101,10 @@ class BlockCutForest(NamedTuple):
     -1 if v has no edge), ``parent`` and ``depth`` root each tree at its
     first node, ``exits[b]`` lists the arcs out of block b: the arcs at
     b's cut vertices along edges of other blocks, and ``cut_vertex[j]`` is
-    the graph node of tree node B+j."""
+    the graph node of tree node B+j.  ``local[b]`` numbers b's nodes in
+    order of first appearance along its edges, taken in edge-id order, and
+    blocks with the same numbered edge lists share a ``shape[b]``; both
+    are empty for a graph of one block."""
 
     edge_block: list
     node_tree: list
@@ -109,6 +112,8 @@ class BlockCutForest(NamedTuple):
     depth: list
     exits: list
     cut_vertex: list
+    local: list
+    shape: list
 
 
 def block_cut_forest(g: Graph) -> BlockCutForest:
@@ -188,7 +193,16 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
                 if depth[b] < 0:
                     parent[b], depth[b] = a, depth[a] + 1
                     queue.append(b)
-    return BlockCutForest(edge_block, node_tree, parent, depth, exits, cut_vertex)
+    local = shape = ()  # a lone block has no other to share flows with
+    if num_blocks > 1:
+        local = [{} for _ in range(num_blocks)]
+        shapes = [[] for _ in range(num_blocks)]  # block -> its numbered edges
+        for eid, ends in enumerate(g.edges):
+            num = local[edge_block[eid]]
+            shapes[edge_block[eid]].append(tuple(num.setdefault(v, len(num)) for v in ends))
+        ids = {}
+        shape = [ids.setdefault(tuple(edges), len(ids)) for edges in shapes]
+    return BlockCutForest(edge_block, node_tree, parent, depth, exits, cut_vertex, local, shape)
 
 
 def _tree_path(forest: BlockCutForest, s: int, t: int) -> list:
@@ -215,13 +229,17 @@ class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
     the int capacity of arc a (both arcs of an edge carry it).  ``res`` is
     the residual list ``min_cut`` works in; between calls it equals
-    ``arcs``.  ``hops`` maps each hop ``(u, v, goal)`` that ``min_cut`` has
-    checked to the u-v flow in their block, stopped at ``goal``; the
-    capacities are fixed, so it holds for as long as they live."""
+    ``arcs``.  ``blocks[b]`` is an id block b shares with the blocks of
+    its shape and capacities in edge order (empty until ``min_cut`` first
+    needs it).  ``hops`` maps ``(id, local u, local v, goal)`` for each
+    flow that ``min_cut`` has run in one block to that u-v flow, stopped at
+    ``goal``; the capacities are fixed, so both hold for as long as they
+    live."""
 
     arcs: list
     scale: int
     res: list
+    blocks: list
     hops: dict
 
 
@@ -241,7 +259,7 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale, list(arcs), {})
+    return ScaledCapacities(arcs, scale, list(arcs), [], {})
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -261,12 +279,14 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     The flows (``_flow``) are confined to the blocks on the s-t path of
     ``g.blocks`` by closing the arcs out of them; a search never enters
     those blocks from outside, so it labels them in the same order and
-    finds the same paths.  With ``need`` set and several blocks on the
-    path, each hop between consecutive cut vertices on it first runs in
-    its own block.  Every augmenting s-t path crosses the hops in turn,
-    so the s-t flow stops where the least hop's flow stops; only a hop
-    short of ``need`` makes the whole flow run, for the side.  The hop
-    flows are kept in ``cap.hops``.
+    finds the same paths.  With ``need`` set, each hop between
+    consecutive cut vertices on the path first runs in its own block.
+    Every augmenting s-t path crosses the hops in turn, so the s-t flow
+    stops where the least hop's flow stops; only a hop short of ``need``
+    makes the whole flow run, for the side.  A flow confined to one block
+    sees only its arcs, in edge-id order, so in a graph of several blocks
+    it is kept in ``cap.hops`` under the block's shape and capacities and
+    serves every block alike.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -285,14 +305,25 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     forest = g.blocks
     path = _tree_path(forest, s, t)
     num_blocks = len(forest.exits)
-    inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
-    if goal is not None and inner:
+    blocks = [a for a in path if a < num_blocks]
+    keep = None  # the key of a one-block flow not yet kept
+    if goal is not None and blocks and forest.shape:
+        if not cap.blocks:  # intern each block's shape and capacities
+            caps = [[shape] for shape in forest.shape]
+            for eid, blk in enumerate(forest.edge_block):
+                caps[blk].append(cap.arcs[2 * eid])
+            ids = {}
+            cap.blocks.extend(ids.setdefault(tuple(c), len(ids)) for c in caps)
+        inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
         ends = [s, *inner, t]
         flows = []
-        for u, v, blk in zip(ends, ends[1:], [a for a in path if a < num_blocks]):
-            key = (u, v, goal)
+        for u, v, blk in zip(ends, ends[1:], blocks):
+            key = (cap.blocks[blk], forest.local[blk][u], forest.local[blk][v], goal)
             if key not in cap.hops:
-                cap.hops[key] = _flow(g, cap, u, v, goal, forest.exits[blk])[0]
+                if len(blocks) == 1:
+                    keep = key  # the whole flow below is this block's own
+                    break
+                cap.hops[key] = _flow(g, cap, u, v, goal, forest.exits[blk], False)[0]
             flows.append(cap.hops[key])
             if flows[-1] < goal:
                 break
@@ -301,20 +332,22 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     # a path that leaves the path's blocks at a cut vertex can only come
     # back through it, so every simple s-t path stays inside them
     region = set(path)
-    closed = [arc for blk in path if blk < num_blocks for arc in forest.exits[blk]
+    closed = [arc for blk in blocks for arc in forest.exits[blk]
               if forest.edge_block[arc >> 1] not in region]
-    flow, side = _flow(g, cap, s, t, goal, closed)
+    flow, side = _flow(g, cap, s, t, goal, closed, True)
+    if keep and side is None:
+        cap.hops[keep] = flow  # kept only once it reached goal
     return Fraction(flow, cap.scale), side
 
 
-def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed):
+def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
     """Edmonds-Karp (shortest augmenting paths) from s to t on the int
     residuals ``cap.res`` with the arcs ``closed`` shut, stopping once the
     flow reaches ``goal`` (None: never).  Returns ``(flow, side)``: side
-    is None when the flow reached goal, else the nodes that the last
-    search labels with ``closed`` reopened.  On return only the closed
-    arcs and the arcs of the augmenting paths (with their reverses) are
-    reset, which puts ``cap.res`` back to ``cap.arcs``."""
+    is None when the flow reached goal or ``label`` is false, else the
+    nodes that a last search labels with ``closed`` reopened.  On return
+    only the closed arcs and the arcs of the augmenting paths (with their
+    reverses) are reset, which puts ``cap.res`` back to ``cap.arcs``."""
     arcs, res = cap.arcs, cap.res
     touched = list(closed)  # arcs reset on return; each augmenting path joins them
     try:
@@ -324,6 +357,8 @@ def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed):
         while goal is None or flow < goal:
             pred = _shortest_path_tree(g.adj, res, s, t)
             if t not in pred:
+                if not label:
+                    return flow, None
                 if closed:  # no flow crossed them: reopen and search everything
                     for arc in closed:
                         res[arc] = arcs[arc]

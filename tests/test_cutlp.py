@@ -161,38 +161,66 @@ def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():
 def test_check_feasible_shares_the_root_hops_on_depth_one(monkeypatch):
     # H^(1) over K4, m=4: 576 of the 726 pairs are (r0, v) pairs whose
     # flow first crosses the root block to v's attachment vertex, one of
-    # 24; each such hop is run once.  Three more pairs from r0 lie in the
-    # root copy, one block each.
+    # 24.  The root block and every copy have one shape and x = 1/3, so
+    # each such hop is the flow from a copy's attachment vertex to the
+    # node with the same local number: only the first, to node 4, runs
+    # from r0.  Three more pairs from r0 lie in the root copy, one block
+    # each.
     lc = build_layered(make_base("k4"), m=4, k=1)
     inst = layered_instance(lc)
+    point = canonical_point(lc, "gap")
     assert len(lc.root_pairs()) == 576
     assert sum(s == lc.r0 for s, _ in inst.pairs) == 579
     calls = counted_flows(monkeypatch)
-    assert check_feasible(inst, canonical_point(lc, "gap")) is None
-    from_root = [(s, t) for s, t in calls if s == lc.r0]
-    hops = [call for call in from_root if call not in inst.pairs]
-    assert len(from_root) == 27 and len(set(hops)) == len(hops) == 24
+    assert check_feasible(inst, point) is None
+    assert [(s, t) for s, t in calls if s == lc.r0] == [(lc.r0, v) for v in (1, 2, 3, 4)]
+    assert len(set(calls)) == len(calls) == 30
 
 
 def test_hop_flows_are_kept_per_capacity_map(monkeypatch):
-    # H^(1) over K4, m=4 at the canonical point: 150 pairs lie in one
-    # block and run one flow each; the 576 root pairs run their 24 shared
-    # first hops once and their 576 second hops, 750 flows in all (1,302
-    # if each pair ran its own hops).  All are feasible, so no whole flow
-    # runs for them.
+    # H^(1) over K4, m=4 at the canonical point: 25 blocks of one shape
+    # and capacities, so the 726 pairs run 30 distinct flows (750 if each
+    # block ran its own).  All are feasible, so no whole flow runs for a
+    # side.
     lc = build_layered(make_base("k4"), m=4, k=1)
     inst = layered_instance(lc)
     point = canonical_point(lc, "gap")
     calls = counted_flows(monkeypatch)
     assert check_feasible(inst, point) is None
-    assert len(calls) == 750
-    # fresh capacities run all 750 again; the same ones a second time keep
-    # every hop, so only the 150 one-block flows run
+    assert len(calls) == 30
+    # fresh capacities run all 30 again; the same ones a second time keep
+    # every flow, so none runs
     cap = scale_capacities(inst.graph, point.x)
-    for count in (750, 150):
+    for count in (30, 0):
         calls.clear()
         assert list(_violated_cuts(inst, cap, point.z, range(inst.num_pairs))) == []
         assert len(calls) == count
+
+
+def test_copies_share_their_flows_on_depth_two(monkeypatch):
+    # H^(2) over K4, m=2: 157 blocks of one shape and capacities at the
+    # canonical point, and 18 distinct flows for all of its pairs
+    lc = build_layered(make_base("k4"), m=2, k=2)
+    inst = layered_instance(lc)
+    point = canonical_point(lc, "gap")
+    assert len(inst.graph.blocks.exits) == 157
+    calls = counted_flows(monkeypatch)
+    assert check_feasible(inst, point) is None
+    assert len(set(calls)) == len(calls) == 18
+
+
+def test_capacities_are_part_of_the_kept_flow_key():
+    # x = 0 on an edge of the last copy: its siblings, of the same shape,
+    # are checked first and keep flows under x = 1/3, which must not answer
+    # for it
+    lc = build_layered(make_base("k4"), m=4, k=1)
+    inst = layered_instance(lc)
+    point = canonical_point(lc, "gap")
+    x = dict(point.x)
+    x[lc.copies[-1].groups[0].edges[0]] = Fraction(0)
+    lowered = FracSolution(x=x, z=point.z)
+    violated = check_feasible(inst, lowered)
+    assert violated is not None and violated == unrestricted_check(inst, lowered)
 
 
 @st.composite

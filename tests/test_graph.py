@@ -156,7 +156,7 @@ def block_trees(draw):
 
 def check_min_cuts(g, cap, queries):
     """Each query (s, t, need) against brute force, all under one scaled
-    ``cap`` (so later queries reuse its kept hops) and, with need set,
+    ``cap`` (so later queries reuse its kept flows) and, with need set,
     against the answer under a fresh one and the whole-graph flow's."""
     scaled = scale_capacities(g, cap)
     for s, t, need in queries:
@@ -310,6 +310,20 @@ def test_block_cut_forest_matches_networkx(g):
     roots = sum(p < 0 for p in forest.parent)
     assert roots == nx.number_connected_components(h.subgraph(
         [v for v in range(g.num_nodes) if g.adj[v]]))
+    # local numbers by first appearance along each block's edges, in
+    # edge-id order; one shape id per numbered edge list (none for one block)
+    numbered = [[] for _ in range(num_blocks)]
+    for eid, (u, v) in enumerate(g.edges):
+        numbered[forest.edge_block[eid]] += [u, v]
+    if num_blocks == 1:
+        assert forest.local == forest.shape == ()
+        return
+    for b, ends in enumerate(numbered):
+        assert list(forest.local[b]) == list(dict.fromkeys(ends))
+        assert sorted(forest.local[b].values()) == list(range(len(blocks[b])))
+    edges = [tuple(forest.local[b][v] for v in ends) for b, ends in enumerate(numbered)]
+    assert all((forest.shape[a] == forest.shape[b]) == (edges[a] == edges[b])
+               for a in range(num_blocks) for b in range(num_blocks))
 
 
 def test_block_cut_forest_of_a_path_with_parallel_edges():
@@ -339,8 +353,8 @@ def counted_flows(monkeypatch):
     """The (s, t) of every flow graph._flow runs from now on."""
     flows = []
     run = graph._flow
-    monkeypatch.setattr(graph, "_flow", lambda g, cap, s, t, goal, closed:
-                        flows.append((s, t)) or run(g, cap, s, t, goal, closed))
+    monkeypatch.setattr(graph, "_flow", lambda g, cap, s, t, *rest:
+                        flows.append((s, t)) or run(g, cap, s, t, *rest))
     return flows
 
 
@@ -349,27 +363,49 @@ def test_block_hops_follow_the_cut_vertices(monkeypatch):
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (5, 6)])
     unit = {eid: 1 for eid in range(g.num_edges)}
     flows = counted_flows(monkeypatch)
+    searches = []
+    search = graph._shortest_path_tree
+    monkeypatch.setattr(graph, "_shortest_path_tree",
+                        lambda *args: searches.append(args) or search(*args))
 
     def flows_of(s, t, need=1, cap=None):
         flows.clear()
+        searches.clear()
         answer = min_cut(g, cap or scale_capacities(g, unit), s, t, need)
         return answer, flows[:]
 
-    # with need set, a path across several blocks is checked hop by hop
-    assert flows_of(0, 3) == ((1, None), [(0, 1), (1, 2), (2, 3)])
+    # with need set, a path across several blocks is checked hop by hop;
+    # the unit bridges 0-1 and 1-2 have one shape, so they share a hop
+    assert flows_of(0, 3) == ((1, None), [(0, 1), (2, 3)])
     assert flows_of(4, 1) == ((1, None), [(4, 2), (2, 1)])
     assert flows_of(1, 2) == ((1, None), [(1, 2)])  # one block
     assert flows_of(3, 4) == ((1, None), [(3, 4)])
     assert flows_of(0, 5) == ((0, {0, 1, 2, 3, 4}), [(0, 5)])  # different trees
     assert flows_of(7, 0) == ((0, {7}), [(7, 0)])  # no edge
-    # a hop short of need runs the whole flow for the side; no need, no hops
+    # a hop short of need runs the whole flow for the side, and only the
+    # whole flow labels one: two searches each; no need, no hops
     assert flows_of(0, 3, Fraction(3, 2)) == ((1, {0}), [(0, 1), (0, 3)])
+    assert len(searches) == 4
     assert flows_of(0, 3, None) == ((1, {0}), [(0, 3)])
     # the hops are kept with the capacities: 0-4 only runs its last hop
     cap = scale_capacities(g, unit)
     flows_of(0, 3, cap=cap)
     assert flows_of(0, 4, cap=cap) == ((1, None), [(2, 4)])
-    assert sorted(cap.hops) == [(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)]
+    # keyed (block id, local u, local v, goal): the triangle numbers 2, 3,
+    # 4 as 0, 1, 2, and the three unit bridges share one id
+    bridge, triangle = (cap.blocks[g.blocks.edge_block[eid]] for eid in (0, 2))
+    assert [cap.blocks[g.blocks.edge_block[eid]] for eid in (1, 5)] == [bridge, bridge]
+    assert sorted(cap.hops) == sorted([(bridge, 0, 1, 1), (triangle, 0, 1, 1),
+                                       (triangle, 0, 2, 1)])
+
+
+def test_a_kept_flow_below_goal_never_answers():
+    # 0-1-2 with capacity 0 on 0-1: the query 2-0 keeps its short hop 1-0,
+    # and the one-block query 1-0 must still run its whole flow for the side
+    g = Graph(3, [(0, 1), (1, 2)])
+    cap = scale_capacities(g, {0: 0, 1: 1})
+    assert min_cut(g, cap, 2, 0, need=1) == (0, {1, 2})
+    assert min_cut(g, cap, 1, 0, need=1) == (0, {1, 2})
 
 
 def test_blocks_are_built_once_and_rebuilt_after_add_edge():
