@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import simplex
-from .graph import (ScaledCapacities, component_labels, cut_edges, min_cut,
-                    scale_capacities)
+from .graph import component_labels, cut_edges, min_cut, scale_capacities
 from .instance import FracSolution, InstanceError, PcsfInstance
 
 
@@ -59,26 +58,19 @@ class LpResult:
     iterations: int
 
 
-def _violated_cuts(inst: PcsfInstance, cap, z, pairs):
-    """Violated (pair, side) cuts by exact min cut, one per pair of ``pairs``
-    in order: side holds the pair's first endpoint and x(delta(side)) + z_i < 1.
-    A pair's flow stops once it reaches 1 - z_i, which proves no such side.
-    ``cap`` is x as ``scale_capacities`` gives it, shared by all the pairs
-    (a plain x map is scaled here)."""
-    if not isinstance(cap, ScaledCapacities):
-        cap = scale_capacities(inst.graph, cap)
+def _violated_cuts(inst: PcsfInstance, x, z, pairs):
+    """Violated cuts by exact min cut, one ``(pair, side, back)`` per
+    violated pair of ``pairs`` in order: side and back are the minimal and
+    the maximal s-side of the pair's minimum cuts, both holding its first
+    endpoint with x(delta(.)) + z_i < 1.  A pair's flow stops once it
+    reaches 1 - z_i, which proves no such side.  x is scaled once for all
+    the pairs."""
+    cap = scale_capacities(inst.graph, x)
     for i in pairs:
         s, t = inst.pairs[i]
-        _, side = min_cut(inst.graph, cap, s, t, need=1 - z.get(i, 0))
+        _, side, back = min_cut(inst.graph, cap, s, t, need=1 - z.get(i, 0))
         if side is not None:
-            yield i, frozenset(side)
-
-
-def _back_side(inst: PcsfInstance, cap, i):
-    """The maximal s-side of pair i's minimum cuts under ``cap``: V minus
-    the minimal t-side, which a t-s flow's last search labels."""
-    s, t = inst.pairs[i]
-    return frozenset(range(inst.graph.num_nodes)) - min_cut(inst.graph, cap, t, s)[1]
+            yield i, frozenset(side), frozenset(back)
 
 
 def check_feasible(inst: PcsfInstance, point: FracSolution):
@@ -90,8 +82,7 @@ def check_feasible(inst: PcsfInstance, point: FracSolution):
     for i in range(inst.num_pairs):
         if point.z.get(i, Fraction(0)) < 0:
             return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    cap = scale_capacities(inst.graph, point.x)
-    for i, side in _violated_cuts(inst, cap, point.z, range(inst.num_pairs)):
+    for i, side, _ in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
         return CutConstraint(pair=i, side=side)
     return None
 
@@ -102,8 +93,9 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
     and bound.  Forced-in edges count as permanently bought (capacity 1,
     cost already paid by the caller), forced-out edges as deleted.
 
-    Each round adds every violated pair's minimal s-side and its back cut
-    (``_back_side``): two minimum cuts, violated by the same amount.
+    Each round adds every violated pair's minimal s-side and its back cut,
+    the maximal one: two minimum cuts from one flow, violated by the same
+    amount.
 
     Returns an LpResult whose value covers only the free variables.
     """
@@ -180,8 +172,7 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         d = lcm(*(v.denominator for v in sol.x))
         X = [v.numerator * (d // v.denominator) for v in sol.x]
         tight = [key for key, (row, b) in cuts.items() if sum(X[j] for j in row) == b * d]
-        cap = scale_capacities(g, x)
-        violated = list(_violated_cuts(inst, cap, z, open_pairs))
+        violated = list(_violated_cuts(inst, x, z, open_pairs))
         if not violated:
             if pool is not None:
                 pool[:] = tight
@@ -195,9 +186,9 @@ def solve_cut_lp(inst: PcsfInstance, pool=None, forced_in=frozenset(),
         # through separation later.  A dropped cut's slack was positive,
         # hence basic, so the carried basis stays square
         cuts = {key: cuts[key] for key in tight}
-        for i, side in violated:
+        for i, side, back in violated:
             add_cut((i, side))
-            add_cut((i, _back_side(inst, cap, i)))
+            add_cut((i, back))
 
 
 def solve_lp(inst: PcsfInstance) -> LpResult:

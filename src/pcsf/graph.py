@@ -268,13 +268,15 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     ``cap`` is ``scale_capacities(g, c)`` for a capacity map ``c``, so
     that several cuts under the same capacities check and scale them
     once.  Returns
-    ``(value, side)`` where ``side`` is the set of nodes reachable from s
-    in the final residual graph: the minimal s-side of a minimum cut, the
-    same for every maximum flow.
+    ``(value, side, back)`` where ``side`` is the set of nodes reachable
+    from s in the final residual graph and ``back`` is V minus the nodes
+    that reach t in it: the minimal and the maximal s-side of a minimum
+    cut, the same for every maximum flow (Picard and Queyranne 1980).
 
     With ``need`` set, the flow stops as soon as it reaches ``need`` and
-    ``(value, None)`` is returned, value >= need: no cut below ``need``
-    exists.  Otherwise the call returns the same pair as without ``need``.
+    ``(value, None, None)`` is returned, value >= need: no cut below
+    ``need`` exists.  Otherwise the call returns the same as without
+    ``need``.
 
     The flows (``_flow``) are confined to the blocks on the s-t path of
     ``g.blocks`` by closing the arcs out of them; a search never enters
@@ -283,10 +285,11 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     consecutive cut vertices on the path first runs in its own block.
     Every augmenting s-t path crosses the hops in turn, so the s-t flow
     stops where the least hop's flow stops; only a hop short of ``need``
-    makes the whole flow run, for the side.  A flow confined to one block
-    sees only its arcs, in edge-id order, so in a graph of several blocks
-    it is kept in ``cap.hops`` under the block's shape and capacities and
-    serves every block alike.
+    makes the whole flow run, for the sides.  On a path of one block the
+    hop is the whole flow, so it labels the sides itself.  A flow confined
+    to one block sees only its arcs, in edge-id order, so in a graph of
+    several blocks it is kept in ``cap.hops`` under the block's shape and
+    capacities and serves every block alike.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -306,7 +309,6 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     path = _tree_path(forest, s, t)
     num_blocks = len(forest.exits)
     blocks = [a for a in path if a < num_blocks]
-    keep = None  # the key of a one-block flow not yet kept
     if goal is not None and blocks and forest.shape:
         if not cap.blocks:  # intern each block's shape and capacities
             caps = [[shape] for shape in forest.shape]
@@ -320,32 +322,31 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
         for u, v, blk in zip(ends, ends[1:], blocks):
             key = (cap.blocks[blk], forest.local[blk][u], forest.local[blk][v], goal)
             if key not in cap.hops:
-                if len(blocks) == 1:
-                    keep = key  # the whole flow below is this block's own
-                    break
-                cap.hops[key] = _flow(g, cap, u, v, goal, forest.exits[blk], False)[0]
+                flow, side, back = _flow(g, cap, u, v, goal, forest.exits[blk], len(blocks) == 1)
+                if side is not None:  # a lone block's flow fell short: it has the sides
+                    return Fraction(flow, cap.scale), side, back
+                cap.hops[key] = flow
             flows.append(cap.hops[key])
             if flows[-1] < goal:
                 break
         else:
-            return Fraction(min(flows), cap.scale), None
+            return Fraction(min(flows), cap.scale), None, None
     # a path that leaves the path's blocks at a cut vertex can only come
     # back through it, so every simple s-t path stays inside them
     region = set(path)
     closed = [arc for blk in blocks for arc in forest.exits[blk]
               if forest.edge_block[arc >> 1] not in region]
-    flow, side = _flow(g, cap, s, t, goal, closed, True)
-    if keep and side is None:
-        cap.hops[keep] = flow  # kept only once it reached goal
-    return Fraction(flow, cap.scale), side
+    flow, side, back = _flow(g, cap, s, t, goal, closed, True)
+    return Fraction(flow, cap.scale), side, back
 
 
 def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
     """Edmonds-Karp (shortest augmenting paths) from s to t on the int
     residuals ``cap.res`` with the arcs ``closed`` shut, stopping once the
-    flow reaches ``goal`` (None: never).  Returns ``(flow, side)``: side
-    is None when the flow reached goal or ``label`` is false, else the
-    nodes that a last search labels with ``closed`` reopened.  On return
+    flow reaches ``goal`` (None: never).  Returns ``(flow, side, back)``:
+    both are None when the flow reached goal or ``label`` is false, else
+    side holds the nodes that a last search from s labels with ``closed``
+    reopened, and back all nodes but those that reach t.  On return
     only the closed arcs and the arcs of the augmenting paths (with their
     reverses) are reset, which puts ``cap.res`` back to ``cap.arcs``."""
     arcs, res = cap.arcs, cap.res
@@ -358,12 +359,18 @@ def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
             pred = _shortest_path_tree(g.adj, res, s, t)
             if t not in pred:
                 if not label:
-                    return flow, None
+                    return flow, None, None
                 if closed:  # no flow crossed them: reopen and search everything
                     for arc in closed:
                         res[arc] = arcs[arc]
                     pred = _shortest_path_tree(g.adj, res, s, t)
-                return flow, set(pred)
+                reach, stack = {t}, [t]  # the nodes with a residual path to t
+                while stack:
+                    for arc, w in g.adj[stack.pop()]:
+                        if res[arc ^ 1] and w not in reach:  # w reaches the popped node
+                            reach.add(w)
+                            stack.append(w)
+                return flow, set(pred), set(range(g.num_nodes)) - reach
             path = []
             node = t
             while node != s:
@@ -376,7 +383,7 @@ def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
                 res[arc] -= bott
                 res[arc ^ 1] += bott
             flow += bott
-        return flow, None
+        return flow, None, None
     finally:
         for arc in touched:
             res[arc] = res[arc ^ 1] = arcs[arc]
@@ -407,7 +414,7 @@ def edge_connectivity(g: Graph) -> int:
     best = None
     # fixing s=0 suffices: some min cut separates node 0 from something
     for t in range(1, g.num_nodes):
-        value, _ = min_cut(g, unit, 0, t)
+        value = min_cut(g, unit, 0, t)[0]
         if best is None or value < best:
             best = value
     return int(best)

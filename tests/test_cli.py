@@ -41,9 +41,12 @@ def test_gen_layered(tmp_path, capsys):
 
 
 def test_gen_gadget_and_base(tmp_path, capsys):
-    code, out, _ = run(capsys, "gen", "gadget", "--k", "6")
+    point = tmp_path / "gadget.sol"
+    code, out, _ = run(capsys, "gen", "gadget", "--k", "6", "--point", str(point))
     assert code == 0
     assert json.loads(out)["edges"] == 96
+    lines = point.read_text().splitlines()
+    assert len(lines) == 96 + 61 and lines[0] == "x 0 1/3"
     code, out, _ = run(capsys, "gen", "base", "--base", "prism",
                        "-o", str(tmp_path / "p.pcsf"))
     assert code == 0
@@ -224,6 +227,24 @@ def test_gen_layered_point_mode_error_writes_nothing(tmp_path, capsys):
     assert not out_path.exists() and not point_path.exists()
 
 
+def test_round_best_and_two_value(tmp_path, capsys):
+    # depth-0 K4, m=1 at the lmp point (value 6)
+    inst, point = str(tmp_path / "k4m1.pcsf"), str(tmp_path / "k4m1.sol")
+    assert run(capsys, "gen", "layered", "--base", "k4", "--m", "1", "--k", "0",
+               "--point-mode", "lmp", "-o", inst, "--point", point)[0] == 0
+    code, out, _ = run(capsys, "round", inst, "--point", point, "--method", "best")
+    assert code == 0
+    doc = json.loads(out)
+    exact = [doc[key]["exact"] for key in ("theta", "objective", "ratio_bound")]
+    assert exact == ["1/3", "9", "3"]
+    code, out, _ = run(capsys, "round", inst, "--point", point,
+                       "--method", "two-value", "--p", "3/4")
+    assert code == 0
+    doc = json.loads(out)
+    exact = [doc[key]["exact"] for key in ("gamma", "objective", "ratio_bound")]
+    assert exact == ["1/3", "9", "9/4"]
+
+
 def test_round_broken_guarantee_exit_code(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "tri.pcsf"
     inst.write_text("pcsf 1\nedge a b 10\nedge b c 10\nedge a c 1\npair a c 100\n")
@@ -240,10 +261,13 @@ def test_report_gap(tmp_path, capsys):
     path.write_text("pcsf 1\n"
                     "edge a b 1\nedge b c 1\nedge c d 1\nedge d a 1\n"
                     "pair a c inf\npair b d inf\n")
-    code, out, _ = run(capsys, "report", "gap", str(path))
+    csv_path = tmp_path / "gap.csv"
+    code, out, _ = run(capsys, "report", "gap", str(path), "--csv", str(csv_path))
     assert code == 0
     doc = json.loads(out)
     assert doc["ratio"]["exact"] == "3/2"
+    assert csv_path.read_text().splitlines() == ["n,k,l,bound,alpha_star,beta_star,ratio",
+                                                 ",,,,,,3/2"]
 
 
 def test_exit_codes(tmp_path, capsys):

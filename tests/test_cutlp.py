@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graph import block_graphs, counted_flows, reference_min_cut
+from test_graph import block_graphs, counted_flows, reference_cuts
 
-from pcsf import graph, simplex
+from pcsf import cutlp, graph, simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, _violated_cuts, check_feasible,
                         matrix_rank_exact, solve_cut_lp, solve_lp)
-from pcsf.graph import Graph, scale_capacities
+from pcsf.graph import Graph, min_cut, scale_capacities
 from pcsf.instance import FracSolution, InstanceError, PcsfInstance, make_base
 from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
@@ -113,6 +113,20 @@ def test_back_cuts_keep_the_round_count_small(base, m, value):
     assert res.iterations <= 16
 
 
+def test_one_min_cut_query_per_open_pair_per_round(monkeypatch):
+    """A violated pair's minimal and maximal s-side come from its one flow:
+    depth-0 K4, m=3 asks min_cut once for each of its 24 pairs in each of
+    its 8 rounds (267 times when a second flow found each back cut)."""
+    calls = []
+    run = cutlp.min_cut
+    monkeypatch.setattr(cutlp, "min_cut", lambda *args, **kwargs:
+                        calls.append(args[2:4]) or run(*args, **kwargs))
+    inst = layered_instance(build_layered(make_base("k4"), m=3, k=0))
+    res = solve_lp(inst)
+    assert inst.num_pairs == 24
+    assert len(calls) == res.iterations * 24 == 192
+
+
 def test_solution_is_feasible_and_cuts_tight():
     inst = c4_double_pair()
     res = solve_lp(inst)
@@ -193,7 +207,8 @@ def test_hop_flows_are_kept_per_capacity_map(monkeypatch):
     cap = scale_capacities(inst.graph, point.x)
     for count in (30, 0):
         calls.clear()
-        assert list(_violated_cuts(inst, cap, point.z, range(inst.num_pairs))) == []
+        assert all(min_cut(inst.graph, cap, s, t, 1 - point.z.get(i, 0))[1] is None
+                   for i, (s, t) in enumerate(inst.pairs))
         assert len(calls) == count
 
 
@@ -251,9 +266,9 @@ def test_violated_cuts_hop_by_hop_match_whole_graph_cuts(case):
     cap = scale_capacities(g, x)
     expected = []
     for i, (s, t) in enumerate(inst.pairs):
-        _, side = reference_min_cut(g, cap, s, t, 1 - z[i])
+        _, side, back = reference_cuts(g, cap, s, t, 1 - z[i])
         if side is not None:
-            expected.append((i, frozenset(side)))
+            expected.append((i, frozenset(side), frozenset(back)))
     assert list(_violated_cuts(inst, x, z, range(inst.num_pairs))) == expected
 
 

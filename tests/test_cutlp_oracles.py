@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsf import simplex
-from pcsf.cutlp import (LpInfeasibleError, _back_side, _violated_cuts, check_feasible,
-                        solve_cut_lp, solve_lp)
+from pcsf.cutlp import LpInfeasibleError, _violated_cuts, check_feasible, solve_cut_lp, solve_lp
 from pcsf.exact import enumerate_ip, solve_ip
-from pcsf.graph import Graph, cut_edges, scale_capacities
+from pcsf.graph import Graph, cut_edges
 from pcsf.instance import FracSolution, PcsfInstance
 from pcsf.rational import INF
 
@@ -87,9 +86,7 @@ def test_back_side_is_the_maximal_minimum_cut(data):
     point = FracSolution(
         x={e: data.draw(RATIONALS) for e in range(inst.graph.num_edges)},
         z={i: data.draw(RATIONALS) / 4 for i in range(inst.num_pairs)})
-    cap = scale_capacities(inst.graph, point.x)
-    for i, side in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
-        back = _back_side(inst, cap, i)
+    for i, side, back in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
         slacks = {other: slack(inst, point, i, other) for other in separating_sets(inst, i)}
         least = min(slacks.values())
         assert slacks[back] == least

@@ -10,7 +10,7 @@ from pcsf.cutlp import solve_lp
 from pcsf.exact import enumerate_forests, solve_ip
 from pcsf.graph import Graph
 from pcsf.instance import (FracSolution, InstanceError, PcsfInstance, make_base)
-from pcsf.layered import build_layered, canonical_point
+from pcsf.layered import build_layered, canonical_point, layered_instance
 from pcsf.rational import INF
 from pcsf.rounding import forest_solution
 
@@ -314,6 +314,33 @@ def test_lmp_witness_needs_a_positive_beta():
     for bad in (beta, Fraction(-1)):
         with pytest.raises(InstanceError, match="beta"):
             dec.witness_costs_from_dual(w, mode="lmp", beta=bad)
+
+
+def test_lmp_witness_divides_the_gap_penalties_by_beta():
+    # depth-0 K4, m=1 at the lmp point: beta* = 7/4 over 16 forests; the
+    # lmp witness keeps the gap witness's costs and divides each finite
+    # penalty (1/4) by beta*, while the 6 must-connect pairs stay infinite
+    lc = build_layered(make_base("k4"), m=1, k=0)
+    beta, dist, w = dec.min_beta(layered_instance(lc), canonical_point(lc, "lmp"))
+    assert beta == Fraction(7, 4) and len(dist.entries) == 16
+    gap = dec.witness_costs_from_dual(w)
+    lmp = dec.witness_costs_from_dual(w, mode="lmp", beta=beta)
+    assert lmp.costs == gap.costs
+    assert sorted(i for i, p in lmp.penalties.items() if p == INF) == list(range(6))
+    assert all(lmp.penalties[i] == (p if p == INF else p / beta)
+               for i, p in gap.penalties.items())
+    assert {p for p in lmp.penalties.values() if p != INF} == {Fraction(1, 7)}
+
+
+def test_witness_prices_a_zero_edge_at_the_dual_level():
+    # x = 0 on the chord 0-2: pricing skips it, so the witness prices it
+    # at gamma, and the chord alone cannot undercut gamma
+    inst = triangle_instance()
+    point = FracSolution(x={0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0)},
+                         z={0: Fraction(1, 2)})
+    alpha, _, w = dec.min_alpha(inst, point)
+    assert alpha == 1 and w.zero_edges == {2}
+    assert dec.witness_costs_from_dual(w).costs[2] == w.gamma_dual == 1
 
 
 # --- witness nodes and chain tracing --------------------------------------

@@ -41,7 +41,7 @@ def test_union_find():
 def test_min_cut_triangle_exact():
     g = triangle()
     cap = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
-    value, side = min_cut(g, scale_capacities(g, cap), 0, 2)
+    value, side, _ = min_cut(g, scale_capacities(g, cap), 0, 2)
     assert value == Fraction(2, 3)
     assert 0 in side and 2 not in side
 
@@ -50,21 +50,21 @@ def test_min_cut_respects_capacities():
     # path 0-1-2 with a bottleneck in the middle
     g = Graph(3, [(0, 1), (1, 2)])
     cap = scale_capacities(g, {0: Fraction(5), 1: Fraction(2, 7)})
-    value, side = min_cut(g, cap, 0, 2)
+    value, side, back = min_cut(g, cap, 0, 2)
     assert value == Fraction(2, 7)
-    assert side == {0, 1}
+    assert side == back == {0, 1}
     # with a need the flow stops once it reaches it; below the cut value
     # the call answers as without one
-    assert min_cut(g, cap, 0, 2, need=Fraction(2, 7)) == (Fraction(2, 7), None)
-    assert min_cut(g, cap, 0, 2, need=Fraction(3, 7)) == (Fraction(2, 7), {0, 1})
-    assert min_cut(g, cap, 0, 2, need=0) == (0, None)
+    assert min_cut(g, cap, 0, 2, need=Fraction(2, 7)) == (Fraction(2, 7), None, None)
+    assert min_cut(g, cap, 0, 2, need=Fraction(3, 7)) == (Fraction(2, 7), {0, 1}, {0, 1})
+    assert min_cut(g, cap, 0, 2, need=0) == (0, None, None)
 
 
 def test_min_cut_zero_capacity_edge_disconnects():
     g = Graph(2, [(0, 1)])
-    value, side = min_cut(g, scale_capacities(g, {}), 0, 1)
+    value, side, back = min_cut(g, scale_capacities(g, {}), 0, 1)
     assert value == 0
-    assert side == {0}
+    assert side == back == {0}
 
 
 def test_min_cut_rejects_bad_endpoints():
@@ -157,24 +157,27 @@ def block_trees(draw):
 def check_min_cuts(g, cap, queries):
     """Each query (s, t, need) against brute force, all under one scaled
     ``cap`` (so later queries reuse its kept flows) and, with need set,
-    against the answer under a fresh one and the whole-graph flow's."""
+    against the answer under a fresh one and the whole-graph flows'."""
     scaled = scale_capacities(g, cap)
     for s, t, need in queries:
         cuts = list(brute_force_cuts(g, cap, s, t))
         best = min(value for value, _ in cuts)
-        value, side = min_cut(g, scaled, s, t)
+        value, side, back = min_cut(g, scaled, s, t)
         assert value == best
         assert s in side and t not in side
         assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
         assert all(side <= other for v, other in cuts if v == best)
+        # the maximal s-side: the union of all minimum ones, itself one
+        assert back == set().union(*(other for v, other in cuts if v == best))
+        assert (value, side, back) == reference_cuts(g, scaled, s, t)
         if need is not None:
             early = min_cut(g, scaled, s, t, need=need)
             assert early == min_cut(g, scale_capacities(g, cap), s, t, need=need)
-            assert early == reference_min_cut(g, scaled, s, t, need)
+            assert early == reference_cuts(g, scaled, s, t, need)
             if best >= need:
                 assert early[1] is None and need <= early[0] <= best
             else:
-                assert early == (value, side)
+                assert early == (value, side, back)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -215,6 +218,16 @@ def reference_min_cut(g, cap, s, t, need=None):
             res[arc ^ 1] += bott
         flow += bott
     return Fraction(flow, scale), None
+
+
+def reference_cuts(g, cap, s, t, need=None):
+    """reference_min_cut's (value, side) and the maximal s-side: V minus
+    the minimal t-side, which a second whole-graph flow, from t to s,
+    labels (both None when the flow reached need)."""
+    value, side = reference_min_cut(g, cap, s, t, need)
+    if side is None:
+        return value, None, None
+    return value, side, set(range(g.num_nodes)) - reference_min_cut(g, cap, t, s)[1]
 
 
 @st.composite
@@ -268,15 +281,16 @@ def block_networks(draw):
 def test_min_cut_in_blocks_matches_unrestricted_reference(case):
     g, cap, s, t, need = case
     scaled = scale_capacities(g, cap)
-    value, side = min_cut(g, scaled, s, t)
-    assert (value, side) == reference_min_cut(g, scaled, s, t)
+    value, side, back = min_cut(g, scaled, s, t)
+    assert (value, side, back) == reference_cuts(g, scaled, s, t)
     if need is not None:
-        assert min_cut(g, scaled, s, t, need=need) == reference_min_cut(g, scaled, s, t, need)
+        assert min_cut(g, scaled, s, t, need=need) == reference_cuts(g, scaled, s, t, need)
     if g.num_nodes <= 8:
         cuts = list(brute_force_cuts(g, cap, s, t))
         best = min(v for v, _ in cuts)
         assert value == best
         assert all(side <= other for v, other in cuts if v == best)
+        assert back == set().union(*(other for v, other in cuts if v == best))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -342,9 +356,10 @@ def test_min_cut_resets_the_residuals_it_used():
     g = Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 0)])
     cap = scale_capacities(g, {0: Fraction(1, 2), 1: 1, 2: 1, 3: Fraction(1, 3), 4: 1})
     assert cap.res == cap.arcs and cap.res is not cap.arcs
-    for need, answer in ((None, (Fraction(5, 6), {0, 2, 4})),  # full flow
-                         (Fraction(1, 2), (Fraction(1, 2), None)),  # early stop
-                         (1, (Fraction(5, 6), {0, 2, 4}))):  # violated: closed arcs reopened
+    for need, answer in ((None, (Fraction(5, 6), {0, 2, 4}, {0, 2, 4})),  # full flow
+                         (Fraction(1, 2), (Fraction(1, 2), None, None)),  # early stop
+                         # violated: closed arcs reopened
+                         (1, (Fraction(5, 6), {0, 2, 4}, {0, 2, 4}))):
         assert min_cut(g, cap, 0, 1, need) == answer
         assert cap.res == cap.arcs
 
@@ -376,21 +391,22 @@ def test_block_hops_follow_the_cut_vertices(monkeypatch):
 
     # with need set, a path across several blocks is checked hop by hop;
     # the unit bridges 0-1 and 1-2 have one shape, so they share a hop
-    assert flows_of(0, 3) == ((1, None), [(0, 1), (2, 3)])
-    assert flows_of(4, 1) == ((1, None), [(4, 2), (2, 1)])
-    assert flows_of(1, 2) == ((1, None), [(1, 2)])  # one block
-    assert flows_of(3, 4) == ((1, None), [(3, 4)])
-    assert flows_of(0, 5) == ((0, {0, 1, 2, 3, 4}), [(0, 5)])  # different trees
-    assert flows_of(7, 0) == ((0, {7}), [(7, 0)])  # no edge
-    # a hop short of need runs the whole flow for the side, and only the
-    # whole flow labels one: two searches each; no need, no hops
-    assert flows_of(0, 3, Fraction(3, 2)) == ((1, {0}), [(0, 1), (0, 3)])
+    assert flows_of(0, 3) == ((1, None, None), [(0, 1), (2, 3)])
+    assert flows_of(4, 1) == ((1, None, None), [(4, 2), (2, 1)])
+    assert flows_of(1, 2) == ((1, None, None), [(1, 2)])  # one block
+    assert flows_of(3, 4) == ((1, None, None), [(3, 4)])
+    # different trees; no edge: back is V minus t's component
+    assert flows_of(0, 5) == ((0, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 7}), [(0, 5)])
+    assert flows_of(7, 0) == ((0, {7}, {5, 6, 7}), [(7, 0)])
+    # a hop short of need runs the whole flow for the sides, and only the
+    # whole flow labels them: two searches each; no need, no hops
+    assert flows_of(0, 3, Fraction(3, 2)) == ((1, {0}, {0, 1, 5, 6, 7}), [(0, 1), (0, 3)])
     assert len(searches) == 4
-    assert flows_of(0, 3, None) == ((1, {0}), [(0, 3)])
+    assert flows_of(0, 3, None) == ((1, {0}, {0, 1, 5, 6, 7}), [(0, 3)])
     # the hops are kept with the capacities: 0-4 only runs its last hop
     cap = scale_capacities(g, unit)
     flows_of(0, 3, cap=cap)
-    assert flows_of(0, 4, cap=cap) == ((1, None), [(2, 4)])
+    assert flows_of(0, 4, cap=cap) == ((1, None, None), [(2, 4)])
     # keyed (block id, local u, local v, goal): the triangle numbers 2, 3,
     # 4 as 0, 1, 2, and the three unit bridges share one id
     bridge, triangle = (cap.blocks[g.blocks.edge_block[eid]] for eid in (0, 2))
@@ -404,21 +420,21 @@ def test_a_kept_flow_below_goal_never_answers():
     # and the one-block query 1-0 must still run its whole flow for the side
     g = Graph(3, [(0, 1), (1, 2)])
     cap = scale_capacities(g, {0: 0, 1: 1})
-    assert min_cut(g, cap, 2, 0, need=1) == (0, {1, 2})
-    assert min_cut(g, cap, 1, 0, need=1) == (0, {1, 2})
+    assert min_cut(g, cap, 2, 0, need=1) == (0, {1, 2}, {1, 2})
+    assert min_cut(g, cap, 1, 0, need=1) == (0, {1, 2}, {1, 2})
 
 
 def test_blocks_are_built_once_and_rebuilt_after_add_edge():
     # 2-0-1-3: three blocks, so the cut 0-1 closes the arcs 0->2 and 1->3
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     unit = {eid: 1 for eid in range(3)}
-    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (1, {0, 2})
+    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (1, {0, 2}, {0, 2})
     assert g.blocks is g.blocks
     # the cycle 0-1-3-2 is one block: a stale forest would still close
     # 0->2 and 1->3 and miss the second path
     g.add_edge(2, 3)
     unit[3] = 1
-    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (2, {0})
+    assert min_cut(g, scale_capacities(g, unit), 0, 1) == (2, {0}, {0, 2, 3})
     assert g.blocks == block_cut_forest(g) and len(g.blocks.exits) == 1
 
 
