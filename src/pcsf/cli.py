@@ -158,7 +158,10 @@ def _cmd_lp(args):
         inst, point = _instance_and_point(args)
         family = read_family(args.family, inst)
     report = verify_vertex(inst, point, family)
-    max_coord = max(list(point.x.values()) + list(point.z.values()))
+    # missing ids are 0, as check_feasible reads them
+    max_coord = max([point.x.get(eid, Fraction(0)) for eid in range(inst.graph.num_edges)]
+                    + [point.z.get(i, Fraction(0)) for i in range(inst.num_pairs)],
+                    default=Fraction(0))
     _emit({"feasible": report.is_feasible, "all_tight": report.all_tight,
            "unique": report.unique, "rank": report.rank,
            "dimension": report.dimension,

@@ -30,18 +30,16 @@ def pcst_gadget_instance(k: int):
         raise InstanceError("gadget instance requires k >= 4")
     root, hub = 0, 1
     num_nodes = 2 + 10 * k
-    g = Graph(num_nodes, [])
     names = ["r", "s"] + [f"g{j}u{i}" for j in range(k) for i in range(1, 11)]
 
-    wavy_edges = set()
+    # 16 edges per gadget, the wavy ones first: ids 16j..16j+4 are wavy
+    edges = []
     for j in range(k):
-        for a, b in WAVY:
-            wavy_edges.add(g.add_edge(_gadget_node(j, a), _gadget_node(j, b)))
-        for a, b in STRAIGHT:
-            g.add_edge(_gadget_node(j, a), _gadget_node(j, b))
-        g.add_edge(_gadget_node(j, 1), hub)
-        g.add_edge(_gadget_node(j, 8), root)
-        g.add_edge(_gadget_node(j, 9), _gadget_node((j + 1) % k, 4))
+        edges += [(_gadget_node(j, a), _gadget_node(j, b)) for a, b in WAVY + STRAIGHT]
+        edges += [(_gadget_node(j, 1), hub), (_gadget_node(j, 8), root),
+                  (_gadget_node(j, 9), _gadget_node((j + 1) % k, 4))]
+    g = Graph(num_nodes, edges)
+    wavy_edges = {16 * j + w for j in range(k) for w in range(len(WAVY))}
 
     costs = {eid: Fraction(1) for eid in range(g.num_edges)}
     # a pair (v, r) for every node v != r; any positive penalties work here

@@ -7,6 +7,7 @@ tie-breaking is always by smallest edge id, then smallest node id.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from fractions import Fraction
@@ -18,7 +19,8 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Undirected multigraph with integer node indices and edge ids 0..m-1.
+    """Undirected multigraph with integer node indices and edge ids 0..m-1,
+    built once from its edge list.
 
     ``adj[node]`` lists ``(arc, other)`` for each incident edge, where arc
     2*eid runs u->v and arc 2*eid+1 runs v->u for ``edges[eid] == (u, v)``:
@@ -29,29 +31,19 @@ class Graph:
         self.num_nodes = num_nodes
         self.edges = []  # edge id -> (u, v)
         self.adj = [[] for _ in range(num_nodes)]  # node -> [(arc, other)]
-        self._blocks = None
-        for u, v in edges:
-            self.add_edge(u, v)
+        for eid, (u, v) in enumerate(edges):
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
+            if u == v:
+                raise GraphError(f"self-loop at node {u}")
+            self.edges.append((u, v))
+            self.adj[u].append((2 * eid, v))
+            self.adj[v].append((2 * eid + 1, u))
 
-    def add_edge(self, u: int, v: int) -> int:
-        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-            raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise GraphError(f"self-loop at node {u}")
-        eid = len(self.edges)
-        self._blocks = None
-        self.edges.append((u, v))
-        self.adj[u].append((2 * eid, v))
-        self.adj[v].append((2 * eid + 1, u))
-        return eid
-
-    @property
+    @functools.cached_property
     def blocks(self) -> BlockCutForest:
-        """``block_cut_forest(self)``, built on first use; ``add_edge``
-        drops it."""
-        if self._blocks is None:
-            self._blocks = block_cut_forest(self)
-        return self._blocks
+        """``block_cut_forest(self)``, built on first use."""
+        return block_cut_forest(self)
 
     @property
     def num_edges(self) -> int:
@@ -227,25 +219,24 @@ def _tree_path(forest: BlockCutForest, s: int, t: int) -> list:
 
 class ScaledCapacities(NamedTuple):
     """Capacities of a graph's edges in units of 1/scale: ``arcs[a]`` is
-    the int capacity of arc a (both arcs of an edge carry it).  ``res`` is
-    the residual list ``min_cut`` works in; between calls it equals
-    ``arcs``.  ``blocks[b]`` is an id block b shares with the blocks of
-    its shape and capacities in edge order (empty until ``min_cut`` first
-    needs it).  ``hops`` maps ``(id, local u, local v, goal)`` for each
-    flow that ``min_cut`` has run in one block to that u-v flow, stopped at
-    ``goal``; the capacities are fixed, so both hold for as long as they
-    live."""
+    the int capacity of arc a (both arcs of an edge carry it).
+    ``blocks[b]`` is an id block b shares with the blocks of its shape and
+    capacities in edge order (empty for a graph of one block).  ``hops``
+    maps ``(id, local u, local v, goal)`` for each flow that ``min_cut``
+    has run in one block to that u-v flow, stopped at ``goal``; it is the
+    only field that changes, and since the capacities are fixed, a kept
+    flow holds for as long as they live."""
 
     arcs: list
     scale: int
-    res: list
     blocks: list
     hops: dict
 
 
 def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     """Check and scale ``cap`` (edge id -> nonnegative int or Fraction,
-    missing ids 0) to ints by the lcm of its denominators."""
+    missing ids 0) to ints by the lcm of its denominators, and number the
+    blocks of ``g`` by shape and capacities."""
     m = g.num_edges
     ratios = []
     for eid, c in cap.items():
@@ -259,7 +250,15 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     arcs = [0] * (2 * m)
     for eid, num, den in ratios:
         arcs[2 * eid] = arcs[2 * eid + 1] = num * (scale // den)
-    return ScaledCapacities(arcs, scale, list(arcs), [], {})
+    forest = g.blocks
+    blocks = []
+    if forest.shape:
+        caps = [[shape] for shape in forest.shape]
+        for eid, blk in enumerate(forest.edge_block):
+            caps[blk].append(arcs[2 * eid])
+        ids = {}
+        blocks = [ids.setdefault(tuple(c), len(ids)) for c in caps]
+    return ScaledCapacities(arcs, scale, blocks, {})
 
 
 def min_cut(g: Graph, cap, s: int, t: int, need=None):
@@ -288,8 +287,9 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     makes the whole flow run, for the sides.  On a path of one block the
     hop is the whole flow, so it labels the sides itself.  A flow confined
     to one block sees only its arcs, in edge-id order, so in a graph of
-    several blocks it is kept in ``cap.hops`` under the block's shape and
-    capacities and serves every block alike.
+    several blocks it is kept in ``cap.hops`` under the block's id in
+    ``cap.blocks`` and serves every block alike.  Each flow works in its
+    own residual list, so ``cap.hops`` is all that a call changes.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
@@ -310,12 +310,6 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
     num_blocks = len(forest.exits)
     blocks = [a for a in path if a < num_blocks]
     if goal is not None and blocks and forest.shape:
-        if not cap.blocks:  # intern each block's shape and capacities
-            caps = [[shape] for shape in forest.shape]
-            for eid, blk in enumerate(forest.edge_block):
-                caps[blk].append(cap.arcs[2 * eid])
-            ids = {}
-            cap.blocks.extend(ids.setdefault(tuple(c), len(ids)) for c in caps)
         inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
         ends = [s, *inner, t]
         flows = []
@@ -341,52 +335,45 @@ def min_cut(g: Graph, cap, s: int, t: int, need=None):
 
 
 def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
-    """Edmonds-Karp (shortest augmenting paths) from s to t on the int
-    residuals ``cap.res`` with the arcs ``closed`` shut, stopping once the
-    flow reaches ``goal`` (None: never).  Returns ``(flow, side, back)``:
-    both are None when the flow reached goal or ``label`` is false, else
-    side holds the nodes that a last search from s labels with ``closed``
-    reopened, and back all nodes but those that reach t.  On return
-    only the closed arcs and the arcs of the augmenting paths (with their
-    reverses) are reset, which puts ``cap.res`` back to ``cap.arcs``."""
-    arcs, res = cap.arcs, cap.res
-    touched = list(closed)  # arcs reset on return; each augmenting path joins them
-    try:
-        for arc in closed:
-            res[arc] = 0
-        flow = 0
-        while goal is None or flow < goal:
-            pred = _shortest_path_tree(g.adj, res, s, t)
-            if t not in pred:
-                if not label:
-                    return flow, None, None
-                if closed:  # no flow crossed them: reopen and search everything
-                    for arc in closed:
-                        res[arc] = arcs[arc]
-                    pred = _shortest_path_tree(g.adj, res, s, t)
-                reach, stack = {t}, [t]  # the nodes with a residual path to t
-                while stack:
-                    for arc, w in g.adj[stack.pop()]:
-                        if res[arc ^ 1] and w not in reach:  # w reaches the popped node
-                            reach.add(w)
-                            stack.append(w)
-                return flow, set(pred), set(range(g.num_nodes)) - reach
-            path = []
-            node = t
-            while node != s:
-                arc = pred[node]
-                path.append(arc)
-                node = g.edges[arc >> 1][arc & 1]
-            touched += path
-            bott = min(res[arc] for arc in path)
-            for arc in path:
-                res[arc] -= bott
-                res[arc ^ 1] += bott
-            flow += bott
-        return flow, None, None
-    finally:
-        for arc in touched:
-            res[arc] = res[arc ^ 1] = arcs[arc]
+    """Edmonds-Karp (shortest augmenting paths) from s to t on its own
+    copy of the int residuals ``cap.arcs`` with the arcs ``closed`` shut,
+    stopping once the flow reaches ``goal`` (None: never).  Returns
+    ``(flow, side, back)``: both are None when the flow reached goal or
+    ``label`` is false, else side holds the nodes that a last search from
+    s labels with ``closed`` reopened, and back all nodes but those that
+    reach t."""
+    res = list(cap.arcs)
+    for arc in closed:
+        res[arc] = 0
+    flow = 0
+    while goal is None or flow < goal:
+        pred = _shortest_path_tree(g.adj, res, s, t)
+        if t not in pred:
+            if not label:
+                return flow, None, None
+            if closed:  # no flow crossed them: reopen and search everything
+                for arc in closed:
+                    res[arc] = cap.arcs[arc]
+                pred = _shortest_path_tree(g.adj, res, s, t)
+            reach, stack = {t}, [t]  # the nodes with a residual path to t
+            while stack:
+                for arc, w in g.adj[stack.pop()]:
+                    if res[arc ^ 1] and w not in reach:  # w reaches the popped node
+                        reach.add(w)
+                        stack.append(w)
+            return flow, set(pred), set(range(g.num_nodes)) - reach
+        path = []
+        node = t
+        while node != s:
+            arc = pred[node]
+            path.append(arc)
+            node = g.edges[arc >> 1][arc & 1]
+        bott = min(res[arc] for arc in path)
+        for arc in path:
+            res[arc] -= bott
+            res[arc ^ 1] += bott
+        flow += bott
+    return flow, None, None
 
 
 def _shortest_path_tree(adj, res, s, t) -> dict:

@@ -165,11 +165,14 @@ def _prism_graph() -> Graph:
 def make_base(kind: str, path=None) -> Graph:
     """Build and validate a regular, maximally edge-connected base graph.
 
-    ``kind`` is one of ``k4``, ``complete(q)``, ``prism``, ``from_file``.
+    ``kind`` is one of ``k4``, ``complete(q)``, ``prism``, ``from_file``;
+    ``path`` is read with ``from_file`` and refused with any other kind.
     The result is checked to be l-regular and l-edge-connected where l is
     the common degree; a violation is reported with the offending node.
     """
     kind = kind.strip().lower()
+    if path is not None and kind != "from_file":
+        raise InstanceError(f"a base file is read only by the from_file base, not {kind!r}")
     if kind == "k4":
         g = _complete_graph(4)
     elif kind.startswith("complete(") and kind.endswith(")"):

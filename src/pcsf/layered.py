@@ -59,9 +59,9 @@ class LayeredConstruction:
     l: int                  # degree / edge connectivity of P
     m: int                  # internal nodes per subdivided edge
     k: int                  # recursion depth
-    graph: Graph = None
-    r0: int = 0
-    copies: list = field(default_factory=list)
+    graph: Graph
+    r0: int
+    copies: list
 
     def degree2_nodes(self):
         """Degree-2 nodes of the final graph: level-k subdivision nodes."""
@@ -113,8 +113,8 @@ def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
     if total > NODE_CAP:
         raise ScaleCapError(f"layered construction needs {total} nodes, cap {NODE_CAP}")
 
-    lc = LayeredConstruction(base=base, n=n, l=l, m=m, k=k)
-    g = Graph(total, [])
+    copies = []
+    edges = []  # edge id -> (u, v)
     ids = iter(range(total))  # node ids, handed out in order
 
     def attach_copy(root_global, level):
@@ -123,17 +123,17 @@ def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
             branch = [next(ids) for _ in range(n)]
         else:
             branch = [root_global] + [next(ids) for _ in range(n - 1)]
-        copy = Copy(id=len(lc.copies), level=level, root=branch[0], branch_nodes=branch)
-        lc.copies.append(copy)
+        copy = Copy(id=len(copies), level=level, root=branch[0], branch_nodes=branch)
+        copies.append(copy)
         for be, (a, b) in enumerate(base.edges):
             internal = [next(ids) for _ in range(m)]
             chain = [branch[a]] + internal + [branch[b]]
-            edge_ids = [g.add_edge(u, v) for u, v in zip(chain, chain[1:])]
+            edge_ids = list(range(len(edges), len(edges) + m + 1))
+            edges.extend(zip(chain, chain[1:]))
             copy.groups.append(PathGroup(base_edge=be, nodes=internal, edges=edge_ids))
         return copy
 
     root_copy = attach_copy(None, 0)
-    lc.r0 = root_copy.root
     frontier_copies = [root_copy]
     for level in range(1, k + 1):
         next_frontier = []
@@ -142,8 +142,8 @@ def build_layered(base: Graph, m: int, k: int) -> LayeredConstruction:
                 next_frontier.append(attach_copy(v, level))
         frontier_copies = next_frontier
 
-    lc.graph = g
-    return lc
+    return LayeredConstruction(base=base, n=n, l=l, m=m, k=k, graph=Graph(total, edges),
+                               r0=root_copy.root, copies=copies)
 
 
 def layered_pairs(lc: LayeredConstruction):

@@ -53,6 +53,21 @@ def test_gen_gadget_and_base(tmp_path, capsys):
     assert json.loads(out)["degree"] == 3
 
 
+def test_base_file_is_read_only_by_the_from_file_base(tmp_path, capsys):
+    base = str(tmp_path / "prism.pcsf")
+    assert run(capsys, "gen", "base", "--base", "prism", "-o", base)[0] == 0
+    code, out, _ = run(capsys, "gen", "layered", "--base", "from_file", "--base-file", base,
+                       "--m", "1", "--k", "1")
+    assert code == 0 and json.loads(out)["n"] == 6
+    # any other base kind refuses the file instead of ignoring it
+    for argv in (["gen", "layered", "--base-file", base, "--m", "1", "--k", "0"],
+                 ["gen", "base", "--base", "k4", "--base-file", base],
+                 ["decompose", "explicit", "--base", "prism", "--base-file", base, "--m", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "from_file" in json.loads(err)["error"]
+
+
 def test_lp_solve_and_check(tmp_path, capsys):
     inst = write_triangle(tmp_path, penalty="10")
     sol_path = tmp_path / "sol.txt"
@@ -97,6 +112,20 @@ def test_verify_vertex_gadget(capsys):
     doc = json.loads(out)
     assert doc["unique"] is True
     assert doc["max_coord"]["exact"] == "1/3"
+
+
+def test_verify_vertex_reads_an_empty_point_as_zero(tmp_path, capsys):
+    inst = tmp_path / "edge.pcsf"
+    inst.write_text("pcsf 1\nedge a b 1\npair a b 1\n")
+    point = tmp_path / "empty.sol"
+    point.write_text("")
+    family = tmp_path / "family.txt"
+    family.write_text("cut 0 a\n")
+    code, out, _ = run(capsys, "lp", "verify-vertex", str(inst),
+                       "--point", str(point), "--family", str(family))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["max_coord"]["exact"] == "0" and doc["feasible"] is False
 
 
 def test_verify_vertex_family_file(tmp_path, capsys):

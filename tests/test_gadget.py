@@ -23,6 +23,12 @@ def test_point_values_k6():
     assert max(list(point.x.values()) + list(point.z.values())) == Fraction(1, 3)
 
 
+def test_wavy_edges_are_the_first_five_of_each_gadget():
+    inst, point = pcst_gadget_instance(6)
+    wavy = {16 * j + w for j in range(6) for w in range(5)}
+    assert point.x == {eid: Fraction(2 if eid in wavy else 1, 6) for eid in range(96)}
+
+
 def test_point_feasible():
     inst, point = pcst_gadget_instance(6)
     assert check_feasible(inst, point) is None

@@ -38,6 +38,21 @@ def test_degree2_nodes_are_leaf_level_subdivisions():
                 assert lc.graph.degree(v) == 5
 
 
+def test_path_groups_name_their_edges_in_path_order():
+    base = make_base("k4")
+    lc = build_layered(base, m=2, k=1)
+    g = lc.graph
+    for copy in lc.copies:
+        assert [grp.base_edge for grp in copy.groups] == list(range(base.num_edges))
+        for grp in copy.groups:
+            a, b = base.edges[grp.base_edge]
+            chain = [copy.branch_nodes[a], *grp.nodes, copy.branch_nodes[b]]
+            assert [g.edges[eid] for eid in grp.edges] == list(zip(chain, chain[1:]))
+        first = copy.edge_ids[0]
+        assert copy.edge_ids == list(range(first, first + 3 * base.num_edges))
+    assert sorted(eid for copy in lc.copies for eid in copy.edge_ids) == list(range(g.num_edges))
+
+
 def test_copy_of_root():
     lc = build_layered(make_base("k4"), m=4, k=1)
     assert lc.copy_of_root(lc.r0).id == 0

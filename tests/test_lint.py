@@ -127,23 +127,21 @@ def test_every_parameter_is_read():
 
 def _changes_graph_field(node):
     # a store into, or an append to, a field named like Graph's structure
-    # (num_nodes, edges, adj) or ScaledCapacities' working residuals (res),
-    # block ids (blocks) and kept flows (hops), also through subscripts and
-    # tuple targets
+    # (num_nodes, edges, adj) or ScaledCapacities' block ids (blocks) and
+    # kept flows (hops), also through subscripts and tuple targets
     if isinstance(node, (ast.Tuple, ast.List)):
         return any(_changes_graph_field(elt) for elt in node.elts)
     while isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in (
-        "num_nodes", "edges", "adj", "res", "blocks", "hops")
+        "num_nodes", "edges", "adj", "blocks", "hops")
 
 
 def test_only_graph_py_changes_a_graph():
-    # Graph.blocks caches the block-cut forest and add_edge drops it, so a
-    # graph changed any other way would keep a stale forest; min_cut leaves
-    # ScaledCapacities.res equal to arcs, which a write elsewhere would
-    # break, and ScaledCapacities.blocks and hops hold only ids and flows
-    # under those arcs
+    # a Graph is built once and caches its block-cut forest, so a graph
+    # changed after that would keep a stale forest; ScaledCapacities.blocks
+    # numbers that forest's blocks and hops keeps flows under its arcs, so
+    # only min_cut may add to them
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "graph.py":
