@@ -62,13 +62,17 @@ def _violated_cuts(inst: PcsfInstance, x, z, pairs):
     """Violated cuts by exact min cut, one ``(pair, side, back)`` per
     violated pair of ``pairs`` in order: side and back are the minimal and
     the maximal s-side of the pair's minimum cuts, both holding its first
-    endpoint with x(delta(.)) + z_i < 1.  A pair's flow stops once it
-    reaches 1 - z_i, which proves no such side.  x is scaled once for all
-    the pairs."""
-    cap = scale_capacities(inst.graph, x)
+    endpoint with x(delta(.)) + z_i < 1.  x is scaled once for all the
+    pairs, and a pair's flow stops once it reaches its goal, 1 - z_i in
+    the same units rounded up, which proves no such side."""
+    g = inst.graph
+    cap = scale_capacities(g, x)
+    scale = cap.scale
     for i in pairs:
         s, t = inst.pairs[i]
-        _, side, back = min_cut(inst.graph, cap, s, t, need=1 - z.get(i, 0))
+        num, den = z.get(i, 0).as_integer_ratio()
+        goal = -((num - den) * scale // den)  # the least int >= (1 - z_i) * scale
+        _, side, back = min_cut(g, cap, s, t, goal)
         if side is not None:
             yield i, frozenset(side), frozenset(back)
 
@@ -76,13 +80,18 @@ def _violated_cuts(inst: PcsfInstance, x, z, pairs):
 def check_feasible(inst: PcsfInstance, point: FracSolution):
     """None when feasible, otherwise the first violated constraint:
     nonnegativity first, then cuts in pair-index order."""
-    for eid in range(inst.graph.num_edges):
-        if point.x.get(eid, Fraction(0)) < 0:
-            return CutConstraint(pair=None, side=None, kind="nonneg_x", edge=eid)
-    for i in range(inst.num_pairs):
-        if point.z.get(i, Fraction(0)) < 0:
-            return CutConstraint(pair=i, side=None, kind="nonneg_z")
-    for i, side, _ in _violated_cuts(inst, point.x, point.z, range(inst.num_pairs)):
+    # the least negative id, edges first; a sign read off the numerator
+    # costs less than a Fraction comparison
+    edges, pairs = range(inst.graph.num_edges), range(inst.num_pairs)
+    eid = min((e for e, v in point.x.items() if v.as_integer_ratio()[0] < 0 and e in edges),
+              default=None)
+    if eid is not None:
+        return CutConstraint(pair=None, side=None, kind="nonneg_x", edge=eid)
+    i = min((i for i, v in point.z.items() if v.as_integer_ratio()[0] < 0 and i in pairs),
+            default=None)
+    if i is not None:
+        return CutConstraint(pair=i, side=None, kind="nonneg_z")
+    for i, side, _ in _violated_cuts(inst, point.x, point.z, pairs):
         return CutConstraint(pair=i, side=side)
     return None
 
@@ -261,15 +270,15 @@ def verify_vertex(inst: PcsfInstance, point: FracSolution, family) -> VertexRepo
     for c in family:
         if c.kind == "cut":
             crossing = sorted(cut_edges(inst.graph, c.side))
-            value = sum(point.x.get(e, Fraction(0)) for e in crossing) + point.z.get(c.pair, Fraction(0))
+            value = sum(point.x.get(e, 0) for e in crossing) + point.z.get(c.pair, 0)
             tight = value == 1
             row = dict.fromkeys(crossing, Fraction(1))
             row[m + c.pair] = Fraction(1)
         elif c.kind == "nonneg_x":
-            tight = point.x.get(c.edge, Fraction(0)) == 0
+            tight = point.x.get(c.edge, 0) == 0
             row = {c.edge: Fraction(1)}
         else:
-            tight = point.z.get(c.pair, Fraction(0)) == 0
+            tight = point.z.get(c.pair, 0) == 0
             row = {m + c.pair: Fraction(1)}
         if not tight:
             all_tight = False

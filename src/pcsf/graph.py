@@ -45,6 +45,12 @@ class Graph:
         """``block_cut_forest(self)``, built on first use."""
         return block_cut_forest(self)
 
+    @functools.cached_property
+    def routes(self) -> dict:
+        """The routes of ``min_cut``'s flows through ``blocks``, filled by
+        ``_route`` as cuts ask for them."""
+        return {}
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -197,10 +203,9 @@ def block_cut_forest(g: Graph) -> BlockCutForest:
     return BlockCutForest(edge_block, node_tree, parent, depth, exits, cut_vertex, local, shape)
 
 
-def _tree_path(forest: BlockCutForest, s: int, t: int) -> list:
-    """The tree nodes from s's to t's in ``forest``, in order; empty when
-    s or t has no edge or they lie in different trees."""
-    a, b = forest.node_tree[s], forest.node_tree[t]
+def _tree_path(forest: BlockCutForest, a: int, b: int) -> list:
+    """The tree nodes from a to b in ``forest``, in order; empty when a or
+    b is -1 (a node with no edge) or they lie in different trees."""
     if a < 0 or b < 0:
         return []
     parent, depth = forest.parent, forest.depth
@@ -215,6 +220,23 @@ def _tree_path(forest: BlockCutForest, s: int, t: int) -> list:
                 return []
             up.append(a)
     return up + down[-2::-1]
+
+
+def _route(g: Graph, nodes: tuple) -> tuple:
+    """The route of a flow in ``g`` between the two tree nodes ``nodes``
+    of ``g.blocks``, kept in ``g.routes``: ``(blocks, inner, closed)``,
+    the blocks on their tree path in order, the cut vertices between
+    consecutive ones, and the arcs out of those blocks into blocks off the
+    path.  All three are empty when the path is."""
+    forest = g.blocks
+    path = _tree_path(forest, *nodes)
+    num_blocks = len(forest.exits)
+    blocks = tuple(a for a in path if a < num_blocks)
+    inner = tuple(forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks)
+    closed = tuple(arc for blk in blocks for arc in forest.exits[blk]
+                   if forest.edge_block[arc >> 1] not in blocks)
+    route = g.routes[nodes] = (blocks, inner, closed)
+    return route
 
 
 class ScaledCapacities(NamedTuple):
@@ -242,6 +264,8 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     for eid, c in cap.items():
         if not 0 <= eid < m:
             raise GraphError(f"capacity given for unknown edge id {eid!r}")
+        if type(c) is not int and type(c) is not Fraction:  # a float is not exact
+            raise GraphError(f"capacity {c!r} on edge {eid} is not an int or a Fraction")
         num, den = c.as_integer_ratio()
         if num < 0:
             raise GraphError(f"negative capacity {c} on edge {eid}")
@@ -261,77 +285,73 @@ def scale_capacities(g: Graph, cap) -> ScaledCapacities:
     return ScaledCapacities(arcs, scale, blocks, {})
 
 
-def min_cut(g: Graph, cap, s: int, t: int, need=None):
+def min_cut(g: Graph, cap, s: int, t: int, goal=None):
     """Minimum s-t cut under nonnegative rational capacities, exactly.
 
     ``cap`` is ``scale_capacities(g, c)`` for a capacity map ``c``, so
     that several cuts under the same capacities check and scale them
-    once.  Returns
-    ``(value, side, back)`` where ``side`` is the set of nodes reachable
-    from s in the final residual graph and ``back`` is V minus the nodes
-    that reach t in it: the minimal and the maximal s-side of a minimum
-    cut, the same for every maximum flow (Picard and Queyranne 1980).
+    once.  Returns ``(flow, side, back)``: ``flow`` is an int, the cut
+    value in units of 1/``cap.scale``, ``side`` is the set of nodes
+    reachable from s in the final residual graph and ``back`` is V minus
+    the nodes that reach t in it: the minimal and the maximal s-side of a
+    minimum cut, the same for every maximum flow (Picard and Queyranne
+    1980).
 
-    With ``need`` set, the flow stops as soon as it reaches ``need`` and
-    ``(value, None, None)`` is returned, value >= need: no cut below
-    ``need`` exists.  Otherwise the call returns the same as without
-    ``need``.
+    With ``goal`` set (an int in the same units), the flow stops as soon
+    as it reaches ``goal`` and ``(flow, None, None)`` is returned, flow >=
+    goal: no cut below ``goal`` exists.  Otherwise the call returns the
+    same as without ``goal``.
 
     The flows (``_flow``) are confined to the blocks on the s-t path of
-    ``g.blocks`` by closing the arcs out of them; a search never enters
-    those blocks from outside, so it labels them in the same order and
-    finds the same paths.  With ``need`` set, each hop between
+    ``g.blocks`` by closing the arcs out of them (``_route``); a search
+    never enters those blocks from outside, so it labels them in the same
+    order and finds the same paths.  With ``goal`` set, each hop between
     consecutive cut vertices on the path first runs in its own block.
     Every augmenting s-t path crosses the hops in turn, so the s-t flow
-    stops where the least hop's flow stops; only a hop short of ``need``
+    stops where the least hop's flow stops; only a hop short of ``goal``
     makes the whole flow run, for the sides.  On a path of one block the
     hop is the whole flow, so it labels the sides itself.  A flow confined
     to one block sees only its arcs, in edge-id order, so in a graph of
     several blocks it is kept in ``cap.hops`` under the block's id in
     ``cap.blocks`` and serves every block alike.  Each flow works in its
-    own residual list, so ``cap.hops`` is all that a call changes.
+    own residual list, so ``cap.hops`` and ``g.routes`` are all that a
+    call changes.
     """
     n = g.num_nodes
     if not (0 <= s < n and 0 <= t < n):
         raise GraphError(f"cut endpoints out of range: ({s}, {t})")
     if s == t:
         raise GraphError("min_cut requires s != t")
-    if len(cap.arcs) != 2 * g.num_edges:
+    if len(cap.arcs) != 2 * len(g.edges):
         raise GraphError(f"scaled capacities cover {len(cap.arcs) // 2} edges, "
                          f"the graph has {g.num_edges}")
-    if need is None:
-        goal = None
-    else:
-        num, den = need.as_integer_ratio()
-        goal = -(-num * cap.scale // den)  # least integer flow >= need * scale
-
     forest = g.blocks
-    path = _tree_path(forest, s, t)
-    num_blocks = len(forest.exits)
-    blocks = [a for a in path if a < num_blocks]
-    if goal is not None and blocks and forest.shape:
-        inner = [forest.cut_vertex[a - num_blocks] for a in path[1:-1] if a >= num_blocks]
-        ends = [s, *inner, t]
-        flows = []
-        for u, v, blk in zip(ends, ends[1:], blocks):
-            key = (cap.blocks[blk], forest.local[blk][u], forest.local[blk][v], goal)
-            if key not in cap.hops:
+    if not forest.shape:  # at most one block: no arc to close, no flow to keep
+        return _flow(g, cap, s, t, goal, (), True)
+    nodes = (forest.node_tree[s], forest.node_tree[t])  # the route depends on these alone
+    blocks, inner, closed = g.routes.get(nodes) or _route(g, nodes)
+    if goal is not None and blocks:
+        local, ids, hops = forest.local, cap.blocks, cap.hops
+        u, least = s, None
+        for v, blk in zip((*inner, t), blocks):
+            num = local[blk]
+            key = (ids[blk], num[u], num[v], goal)
+            flow = hops.get(key)
+            if flow is None:
                 flow, side, back = _flow(g, cap, u, v, goal, forest.exits[blk], len(blocks) == 1)
                 if side is not None:  # a lone block's flow fell short: it has the sides
-                    return Fraction(flow, cap.scale), side, back
-                cap.hops[key] = flow
-            flows.append(cap.hops[key])
-            if flows[-1] < goal:
+                    return flow, side, back
+                hops[key] = flow
+            if flow < goal:
                 break
+            if least is None or flow < least:
+                least = flow
+            u = v
         else:
-            return Fraction(min(flows), cap.scale), None, None
+            return least, None, None
     # a path that leaves the path's blocks at a cut vertex can only come
     # back through it, so every simple s-t path stays inside them
-    region = set(path)
-    closed = [arc for blk in blocks for arc in forest.exits[blk]
-              if forest.edge_block[arc >> 1] not in region]
-    flow, side, back = _flow(g, cap, s, t, goal, closed, True)
-    return Fraction(flow, cap.scale), side, back
+    return _flow(g, cap, s, t, goal, closed, True)
 
 
 def _flow(g: Graph, cap: ScaledCapacities, s: int, t: int, goal, closed, label):
@@ -398,13 +418,9 @@ def edge_connectivity(g: Graph) -> int:
     if len(set(component_labels(g, range(g.num_edges)))) > 1:
         return 0
     unit = scale_capacities(g, dict.fromkeys(range(g.num_edges), 1))
-    best = None
-    # fixing s=0 suffices: some min cut separates node 0 from something
-    for t in range(1, g.num_nodes):
-        value = min_cut(g, unit, 0, t)[0]
-        if best is None or value < best:
-            best = value
-    return int(best)
+    # fixing s=0 suffices: some min cut separates node 0 from something;
+    # unit capacities have scale 1, so each flow is the cut value
+    return min(min_cut(g, unit, 0, t)[0] for t in range(1, g.num_nodes))
 
 
 def component_labels(g: Graph, f) -> list:

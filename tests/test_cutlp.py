@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graph import block_graphs, counted_flows, reference_cuts
+from test_graph import block_graphs, counted_flows, goal_of, reference_cuts
 
 from pcsf import cutlp, graph, simplex
 from pcsf.cutlp import (CutConstraint, LpInfeasibleError, _violated_cuts, check_feasible,
@@ -42,6 +42,13 @@ def test_check_feasible_catches_negatives():
     assert check_feasible(inst, bad).kind == "nonneg_x"
     bad = FracSolution(x={}, z={0: Fraction(-1)})
     assert check_feasible(inst, bad).kind == "nonneg_z"
+    # the first violation: edges by id, then pairs; ids outside the
+    # instance are not read
+    bad = FracSolution(x={2: Fraction(-1), 1: Fraction(1), 0: -1}, z={0: Fraction(-1)})
+    assert check_feasible(inst, bad) == CutConstraint(pair=None, side=None, kind="nonneg_x",
+                                                      edge=0)
+    bad = FracSolution(x={0: Fraction(1, 2)}, z={3: Fraction(-1), 0: Fraction(-1, 2)})
+    assert check_feasible(inst, bad) == CutConstraint(pair=0, side=None, kind="nonneg_z")
 
 
 def test_triangle_lp_pays_penalty_when_cheap():
@@ -140,10 +147,13 @@ def test_solution_is_feasible_and_cuts_tight():
 def unrestricted_check(inst, point):
     """check_feasible with no block-cut path, so no arc closed and no pair
     split into hops: one flow per pair, every flow and every side over the
-    whole graph."""
+    whole graph.  It runs on a fresh copy of the graph, whose routes are
+    all found with the path left empty."""
+    g = inst.graph
+    fresh = PcsfInstance(Graph(g.num_nodes, g.edges), inst.costs, inst.pairs, inst.penalties)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_tree_path", lambda forest, s, t: [])
-        return check_feasible(inst, point)
+        return check_feasible(fresh, point)
 
 
 def test_check_feasible_in_blocks_matches_unrestricted_on_depth_one():
@@ -207,8 +217,8 @@ def test_hop_flows_are_kept_per_capacity_map(monkeypatch):
     cap = scale_capacities(inst.graph, point.x)
     for count in (30, 0):
         calls.clear()
-        assert all(min_cut(inst.graph, cap, s, t, 1 - point.z.get(i, 0))[1] is None
-                   for i, (s, t) in enumerate(inst.pairs))
+        assert all(min_cut(inst.graph, cap, s, t, goal_of(1 - point.z.get(i, 0), cap.scale))[1]
+                   is None for i, (s, t) in enumerate(inst.pairs))
         assert len(calls) == count
 
 
@@ -266,10 +276,73 @@ def test_violated_cuts_hop_by_hop_match_whole_graph_cuts(case):
     cap = scale_capacities(g, x)
     expected = []
     for i, (s, t) in enumerate(inst.pairs):
-        _, side, back = reference_cuts(g, cap, s, t, 1 - z[i])
+        _, side, back = reference_cuts(g, cap, s, t, goal_of(1 - z[i], cap.scale))
         if side is not None:
             expected.append((i, frozenset(side), frozenset(back)))
     assert list(_violated_cuts(inst, x, z, range(inst.num_pairs))) == expected
+
+
+@st.composite
+def route_cases(draw):
+    """block_graphs with one more tree (the edge n-(n+1)) and a node with no
+    edge (n+2), two rational x maps, each with its z, and two lists of
+    distinct pairs; each list holds a pair from the edgeless node and one
+    across two trees."""
+    g = draw(block_graphs())
+    n = g.num_nodes
+    g = Graph(n + 3, g.edges + [(n, n + 1)])
+    value = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+    half = st.builds(Fraction, st.integers(0, 3), st.just(2))
+    maps = []
+    for _ in range(2):
+        x = {eid: draw(value) for eid in range(g.num_edges) if draw(st.booleans())}
+        maps.append((x, dict(enumerate(draw(st.lists(half, min_size=10, max_size=10))))))
+    node = st.integers(0, n + 2)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    lists = []
+    for _ in range(2):
+        pairs = [(n + 2, draw(st.integers(0, n + 1))), (g.edges[0][0], n + draw(st.integers(0, 1)))]
+        pairs += draw(st.lists(pair, max_size=8))
+        lists.append(list({frozenset(p): p for p in pairs}.values()))
+    return g, maps, lists
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(route_cases())
+def test_kept_routes_answer_for_every_capacity_map(case):
+    # one Graph keeps its routes across two capacity maps and two pair
+    # lists, run in turn; each run must still match the whole-graph
+    # reference under its own map
+    g, maps, lists = case
+    for (x, z), pairs in ((maps[0], lists[0]), (maps[1], lists[1]),
+                          (maps[0], lists[1]), (maps[1], lists[0])):
+        inst = PcsfInstance(g, dict.fromkeys(range(g.num_edges), 1), pairs,
+                            dict.fromkeys(range(len(pairs)), 1))
+        cap = scale_capacities(g, x)
+        expected = []
+        for i, (s, t) in enumerate(pairs):
+            _, side, back = reference_cuts(g, cap, s, t, goal_of(1 - z[i], cap.scale))
+            if side is not None:
+                expected.append((i, frozenset(side), frozenset(back)))
+        assert list(_violated_cuts(inst, x, z, range(len(pairs)))) == expected
+    assert g.routes
+
+
+@pytest.mark.parametrize("k, pairs", [(1, 726), (2, 17430)])
+def test_one_min_cut_query_per_pair_at_the_canonical_point(monkeypatch, k, pairs):
+    # H^(k) over K4 at m=4: check_feasible asks the min_cut bound in cutlp,
+    # the one the bench tracer counts, once per pair in pair order, and the
+    # copies share their 30 flows
+    lc = build_layered(make_base("k4"), m=4, k=k)
+    inst = layered_instance(lc)
+    queries = []
+    run = cutlp.min_cut
+    monkeypatch.setattr(cutlp, "min_cut", lambda *args: queries.append(args[2:4]) or run(*args))
+    calls = counted_flows(monkeypatch)
+    assert check_feasible(inst, canonical_point(lc, "gap")) is None
+    assert len(queries) == inst.num_pairs == pairs
+    assert queries == inst.pairs
+    assert len(calls) == 30
 
 
 def test_cut_constraint_validation():

@@ -39,9 +39,9 @@ def test_union_find():
 
 def test_min_cut_triangle_exact():
     g = triangle()
-    cap = {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
-    value, side, _ = min_cut(g, scale_capacities(g, cap), 0, 2)
-    assert value == Fraction(2, 3)
+    cap = scale_capacities(g, {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)})
+    flow, side, _ = min_cut(g, cap, 0, 2)
+    assert Fraction(flow, cap.scale) == Fraction(2, 3)
     assert 0 in side and 2 not in side
 
 
@@ -49,14 +49,14 @@ def test_min_cut_respects_capacities():
     # path 0-1-2 with a bottleneck in the middle
     g = Graph(3, [(0, 1), (1, 2)])
     cap = scale_capacities(g, {0: Fraction(5), 1: Fraction(2, 7)})
-    value, side, back = min_cut(g, cap, 0, 2)
-    assert value == Fraction(2, 7)
+    flow, side, back = min_cut(g, cap, 0, 2)
+    assert cap.scale == 7 and flow == 2  # the value 2/7, in sevenths
     assert side == back == {0, 1}
-    # with a need the flow stops once it reaches it; below the cut value
+    # with a goal the flow stops once it reaches it; above the cut value
     # the call answers as without one
-    assert min_cut(g, cap, 0, 2, need=Fraction(2, 7)) == (Fraction(2, 7), None, None)
-    assert min_cut(g, cap, 0, 2, need=Fraction(3, 7)) == (Fraction(2, 7), {0, 1}, {0, 1})
-    assert min_cut(g, cap, 0, 2, need=0) == (0, None, None)
+    assert min_cut(g, cap, 0, 2, goal=2) == (2, None, None)
+    assert min_cut(g, cap, 0, 2, goal=3) == (2, {0, 1}, {0, 1})
+    assert min_cut(g, cap, 0, 2, goal=0) == (0, None, None)
 
 
 def test_min_cut_zero_capacity_edge_disconnects():
@@ -78,6 +78,17 @@ def test_min_cut_rejects_negative_capacity():
     g = triangle()
     with pytest.raises(GraphError, match="negative"):
         scale_capacities(g, {0: Fraction(1), 1: Fraction(-1, 2)})
+
+
+def test_min_cut_rejects_float_capacities():
+    # 0.1 and 1/3 as floats are binary fractions, which would scale by 2^55
+    # and give a cut value that is none of the capacities meant
+    g = Graph(3, [(0, 1), (1, 2)])
+    for bad in ({0: 0.1, 1: 1 / 3}, {0: 1, 1: 2.0}, {0: Fraction(1, 2), 1: True}):
+        with pytest.raises(GraphError, match="not an int or a Fraction"):
+            scale_capacities(g, bad)
+    cap = scale_capacities(g, {0: 1, 1: Fraction(1, 3)})
+    assert Fraction(min_cut(g, cap, 0, 2)[0], cap.scale) == Fraction(1, 3)
 
 
 def test_min_cut_rejects_unknown_edge_id():
@@ -153,16 +164,22 @@ def block_trees(draw):
     return g, cap, [(s, t, draw(st.sampled_from([need, need, None]))) for t in targets]
 
 
+def goal_of(need, scale):
+    """The least int flow >= need in units of 1/scale (None for None)."""
+    return None if need is None else -(-need.numerator * scale // need.denominator)
+
+
 def check_min_cuts(g, cap, queries):
     """Each query (s, t, need) against brute force, all under one scaled
     ``cap`` (so later queries reuse its kept flows) and, with need set,
-    against the answer under a fresh one and the whole-graph flows'."""
+    against the answer to its goal under a fresh one and the whole-graph
+    flows'."""
     scaled = scale_capacities(g, cap)
     for s, t, need in queries:
         cuts = list(brute_force_cuts(g, cap, s, t))
         best = min(value for value, _ in cuts)
         value, side, back = min_cut(g, scaled, s, t)
-        assert value == best
+        assert Fraction(value, scaled.scale) == best
         assert s in side and t not in side
         assert sum(cap.get(e, 0) for e in cut_edges(g, side)) == best
         assert all(side <= other for v, other in cuts if v == best)
@@ -170,11 +187,12 @@ def check_min_cuts(g, cap, queries):
         assert back == set().union(*(other for v, other in cuts if v == best))
         assert (value, side, back) == reference_cuts(g, scaled, s, t)
         if need is not None:
-            early = min_cut(g, scaled, s, t, need=need)
-            assert early == min_cut(g, scale_capacities(g, cap), s, t, need=need)
-            assert early == reference_cuts(g, scaled, s, t, need)
+            goal = goal_of(need, scaled.scale)
+            early = min_cut(g, scaled, s, t, goal=goal)
+            assert early == min_cut(g, scale_capacities(g, cap), s, t, goal=goal)
+            assert early == reference_cuts(g, scaled, s, t, goal)
             if best >= need:
-                assert early[1] is None and need <= early[0] <= best
+                assert early[1] is None and need <= Fraction(early[0], scaled.scale) <= best
             else:
                 assert early == (value, side, back)
 
@@ -187,12 +205,10 @@ def test_min_cut_matches_brute_force(case, tree):
     check_min_cuts(*tree)
 
 
-def reference_min_cut(g, cap, s, t, need=None):
+def reference_min_cut(g, cap, s, t, goal=None):
     """Edmonds-Karp over the whole graph with no block restriction: the
     loop min_cut ran before it learned block-cut forests."""
     res = list(cap.arcs)
-    scale = cap.scale
-    goal = None if need is None else -(-need.numerator * scale // need.denominator)
     flow = 0
     while goal is None or flow < goal:
         pred = {s: None}
@@ -205,7 +221,7 @@ def reference_min_cut(g, cap, s, t, need=None):
                         break
                     queue.append(w)
         if t not in pred:
-            return Fraction(flow, scale), set(pred)
+            return flow, set(pred)
         path = []
         node = t
         while node != s:
@@ -216,17 +232,17 @@ def reference_min_cut(g, cap, s, t, need=None):
             res[arc] -= bott
             res[arc ^ 1] += bott
         flow += bott
-    return Fraction(flow, scale), None
+    return flow, None
 
 
-def reference_cuts(g, cap, s, t, need=None):
-    """reference_min_cut's (value, side) and the maximal s-side: V minus
+def reference_cuts(g, cap, s, t, goal=None):
+    """reference_min_cut's (flow, side) and the maximal s-side: V minus
     the minimal t-side, which a second whole-graph flow, from t to s,
-    labels (both None when the flow reached need)."""
-    value, side = reference_min_cut(g, cap, s, t, need)
+    labels (both None when the flow reached goal)."""
+    flow, side = reference_min_cut(g, cap, s, t, goal)
     if side is None:
-        return value, None, None
-    return value, side, set(range(g.num_nodes)) - reference_min_cut(g, cap, t, s)[1]
+        return flow, None, None
+    return flow, side, set(range(g.num_nodes)) - reference_min_cut(g, cap, t, s)[1]
 
 
 @st.composite
@@ -283,11 +299,12 @@ def test_min_cut_in_blocks_matches_unrestricted_reference(case):
     value, side, back = min_cut(g, scaled, s, t)
     assert (value, side, back) == reference_cuts(g, scaled, s, t)
     if need is not None:
-        assert min_cut(g, scaled, s, t, need=need) == reference_cuts(g, scaled, s, t, need)
+        goal = goal_of(need, scaled.scale)
+        assert min_cut(g, scaled, s, t, goal=goal) == reference_cuts(g, scaled, s, t, goal)
     if g.num_nodes <= 8:
         cuts = list(brute_force_cuts(g, cap, s, t))
         best = min(v for v, _ in cuts)
-        assert value == best
+        assert Fraction(value, scaled.scale) == best
         assert all(side <= other for v, other in cuts if v == best)
         assert back == set().union(*(other for v, other in cuts if v == best))
 
@@ -354,12 +371,13 @@ def test_min_cut_leaves_the_capacities_as_they_were():
     # and closes the arcs 0->2 and 1->3
     g = Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 0)])
     cap = scale_capacities(g, {0: Fraction(1, 2), 1: 1, 2: 1, 3: Fraction(1, 3), 4: 1})
+    assert cap.scale == 6  # so the cut value 5/6 is the flow 5
     arcs = list(cap.arcs)
-    for need, answer in ((None, (Fraction(5, 6), {0, 2, 4}, {0, 2, 4})),  # full flow
-                         (Fraction(1, 2), (Fraction(1, 2), None, None)),  # early stop
-                         # violated: closed arcs reopened
-                         (1, (Fraction(5, 6), {0, 2, 4}, {0, 2, 4}))):
-        assert min_cut(g, cap, 0, 1, need) == answer
+    for goal, answer in ((None, (5, {0, 2, 4}, {0, 2, 4})),  # full flow
+                         (3, (3, None, None)),  # early stop at 1/2
+                         # violated at 1: closed arcs reopened
+                         (6, (5, {0, 2, 4}, {0, 2, 4}))):
+        assert min_cut(g, cap, 0, 1, goal) == answer
         assert cap.arcs == arcs
 
 
@@ -382,13 +400,13 @@ def test_block_hops_follow_the_cut_vertices(monkeypatch):
     monkeypatch.setattr(graph, "_shortest_path_tree",
                         lambda *args: searches.append(args) or search(*args))
 
-    def flows_of(s, t, need=1, cap=None):
+    def flows_of(s, t, goal=1, cap=None):
         flows.clear()
         searches.clear()
-        answer = min_cut(g, cap or scale_capacities(g, unit), s, t, need)
+        answer = min_cut(g, cap or scale_capacities(g, unit), s, t, goal)
         return answer, flows[:]
 
-    # with need set, a path across several blocks is checked hop by hop;
+    # with goal set, a path across several blocks is checked hop by hop;
     # the unit bridges 0-1 and 1-2 have one shape, so they share a hop
     assert flows_of(0, 3) == ((1, None, None), [(0, 1), (2, 3)])
     assert flows_of(4, 1) == ((1, None, None), [(4, 2), (2, 1)])
@@ -397,9 +415,9 @@ def test_block_hops_follow_the_cut_vertices(monkeypatch):
     # different trees; no edge: back is V minus t's component
     assert flows_of(0, 5) == ((0, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 7}), [(0, 5)])
     assert flows_of(7, 0) == ((0, {7}, {5, 6, 7}), [(7, 0)])
-    # a hop short of need runs the whole flow for the sides, and only the
-    # whole flow labels them: two searches each; no need, no hops
-    assert flows_of(0, 3, Fraction(3, 2)) == ((1, {0}, {0, 1, 5, 6, 7}), [(0, 1), (0, 3)])
+    # a hop short of goal runs the whole flow for the sides, and only the
+    # whole flow labels them: two searches each; no goal, no hops
+    assert flows_of(0, 3, 2) == ((1, {0}, {0, 1, 5, 6, 7}), [(0, 1), (0, 3)])
     assert len(searches) == 4
     assert flows_of(0, 3, None) == ((1, {0}, {0, 1, 5, 6, 7}), [(0, 3)])
     # the hops are kept with the capacities: 0-4 only runs its last hop
@@ -419,8 +437,8 @@ def test_a_kept_flow_below_goal_never_answers():
     # and the one-block query 1-0 must still run its whole flow for the side
     g = Graph(3, [(0, 1), (1, 2)])
     cap = scale_capacities(g, {0: 0, 1: 1})
-    assert min_cut(g, cap, 2, 0, need=1) == (0, {1, 2}, {1, 2})
-    assert min_cut(g, cap, 1, 0, need=1) == (0, {1, 2}, {1, 2})
+    assert min_cut(g, cap, 2, 0, goal=1) == (0, {1, 2}, {1, 2})
+    assert min_cut(g, cap, 1, 0, goal=1) == (0, {1, 2}, {1, 2})
 
 
 def test_blocks_are_built_once():

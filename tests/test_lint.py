@@ -127,21 +127,22 @@ def test_every_parameter_is_read():
 
 def _changes_graph_field(node):
     # a store into, or an append to, a field named like Graph's structure
-    # (num_nodes, edges, adj) or ScaledCapacities' block ids (blocks) and
-    # kept flows (hops), also through subscripts and tuple targets
+    # (num_nodes, edges, adj) and kept routes (routes) or ScaledCapacities'
+    # block ids (blocks) and kept flows (hops), also through subscripts and
+    # tuple targets
     if isinstance(node, (ast.Tuple, ast.List)):
         return any(_changes_graph_field(elt) for elt in node.elts)
     while isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in (
-        "num_nodes", "edges", "adj", "blocks", "hops")
+        "num_nodes", "edges", "adj", "routes", "blocks", "hops")
 
 
 def test_only_graph_py_changes_a_graph():
-    # a Graph is built once and caches its block-cut forest, so a graph
-    # changed after that would keep a stale forest; ScaledCapacities.blocks
-    # numbers that forest's blocks and hops keeps flows under its arcs, so
-    # only min_cut may add to them
+    # a Graph is built once and caches its block-cut forest and the routes
+    # through it, so a graph changed after that would keep stale ones;
+    # ScaledCapacities.blocks numbers that forest's blocks and hops keeps
+    # flows under its arcs, so only min_cut may add to them
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "graph.py":
